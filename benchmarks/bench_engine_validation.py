@@ -27,7 +27,7 @@ def _simulate(shape):
     m, n, k = shape
     tcdm = Tcdm()
     hci = Hci(tcdm, HciConfig())
-    engine = RedMulE(RedMulEConfig.reference(), hci, exact=False)
+    engine = RedMulE(RedMulEConfig.reference(), hci)
     allocator = MemoryAllocator(tcdm.base, tcdm.size)
     hx = allocator.alloc_matrix(m, n, "X")
     hw = allocator.alloc_matrix(n, k, "W")
@@ -75,28 +75,28 @@ def test_engine_simulation_speed(benchmark):
 
 def test_arithmetic_backends_bit_match(benchmark):
     """Quick-bench smoke: on a small shape, every arithmetic backend must
-    leave the same cycle count and the bit-exact backends the same TCDM
-    image.  Fails loudly on any bit mismatch between `exact` and
-    `exact-simd` (CI runs this as the backend smoke step)."""
+    leave the same cycle count and the same TCDM image.  Fails loudly on any
+    bit mismatch between `exact`, `exact-simd` and `trace` (CI runs this as
+    the backend smoke step)."""
     shape = (13, 20, 17)
     key = config_key(RedMulEConfig.reference())
 
     def run_all():
         return {
             backend: run_functional_job(key, *shape, False, backend, seed=5)
-            for backend in ("exact", "exact-simd", "fast")
+            for backend in ("exact", "exact-simd", "trace")
         }
 
     outcomes = benchmark.pedantic(run_all, rounds=1, iterations=1)
     exact_cycles, exact_bits = outcomes["exact"]
     simd_cycles, simd_bits = outcomes["exact-simd"]
-    fast_cycles, fast_bits = outcomes["fast"]
+    trace_cycles, trace_bits = outcomes["trace"]
     assert simd_bits == exact_bits, "exact-simd diverged from the exact oracle"
-    assert simd_cycles == exact_cycles == fast_cycles
+    assert trace_bits == exact_bits, "trace diverged from the exact oracle"
+    assert simd_cycles == exact_cycles == trace_cycles
     record_info(benchmark, {
         "shape": str(shape),
         "cycles": exact_cycles,
-        "fast_matches_exact": fast_bits == exact_bits,
     })
 
 

@@ -40,7 +40,20 @@ from repro.experiments.fig4 import (
     hw_vs_sw_sweep,
 )
 from repro.experiments.serve import serve_mix, serve_mlp, set_serve_defaults
-from repro.experiments.runner import EXPERIMENTS, run_experiment, run_all
+
+#: Names served lazily from :mod:`repro.experiments.runner`: importing it
+#: here would put it in ``sys.modules`` before ``python -m
+#: repro.experiments.runner`` executes it, which makes runpy warn.
+_RUNNER_EXPORTS = ("EXPERIMENTS", "run_experiment", "run_all")
+
+
+def __getattr__(name):
+    if name in _RUNNER_EXPORTS:
+        from repro.experiments import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "EXPERIMENTS",

@@ -2,16 +2,16 @@
 
 The cycle-accurate engine and the analytical model are both *data-independent*:
 for a fixed architectural configuration, the cycle count of a matmul job
-depends only on the problem shape ``(M, N, K)``, on whether the job
-accumulates into Z, and on the arithmetic mode -- never on the operand values
-or their placement (the streamer performs one wide access per line per cycle
+depends only on the problem shape ``(M, N, K)`` and on whether the job
+accumulates into Z -- never on the arithmetic backend, the operand values or
+their placement (the streamer performs one wide access per line per cycle
 regardless of the address, see :mod:`repro.redmule.streamer`).  Timing results
 are therefore exactly reusable across a sweep, which is what makes the
 repeated-shape experiments (Fig. 3c/3d, Fig. 4a, the autoencoder batching
 study) cheap to regenerate: the farm simulates each distinct shape once and
 serves every repeat from this cache.
 
-The cache is keyed by ``(config key, m, n, k, accumulate, exact, backend)``
+The cache is keyed by ``(config key, m, n, k, accumulate, backend)``
 and stores :class:`TimingRecord` values -- :class:`~repro.redmule.engine.
 RedMulEResult`-shaped records stripped of the job-specific fields (addresses,
 streamer port statistics) that do not survive memoisation.
@@ -23,7 +23,7 @@ import json
 import os
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
@@ -41,10 +41,13 @@ from repro.redmule.job import MatmulJob
 #: stay loadable -- the timing-record schema is unchanged since v3 (and v2
 #: keys decode by appending the implicit "fp16" format) -- their traces are
 #: simply absent.
-CACHE_FILE_VERSION = 4
+#: v5: timing keys lost the ``exact`` field (every arithmetic backend is
+#: bit-exact and timing never depended on it).  v2-v4 files load with the
+#: field dropped.
+CACHE_FILE_VERSION = 5
 
 #: Cache-file versions :meth:`TimingCache.load` can decode.
-_LOADABLE_VERSIONS = (2, 3, CACHE_FILE_VERSION)
+_LOADABLE_VERSIONS = (2, 3, 4, CACHE_FILE_VERSION)
 
 #: Backend tags used in cache keys and records.
 BACKEND_ENGINE = "engine"
@@ -55,7 +58,7 @@ def config_key(config: RedMulEConfig) -> Tuple[int, int, int, int, int, str]:
     """Hashable, picklable key identifying an architectural configuration.
 
     The element format is part of the key: it changes elements-per-line and
-    therefore tile geometry and cycle counts (unlike the ``arithmetic``
+    therefore tile geometry and cycle counts (unlike the arithmetic
     backend, which is deliberately excluded).
     """
     return (
@@ -72,11 +75,8 @@ def config_key(config: RedMulEConfig) -> Tuple[int, int, int, int, int, str]:
 class TimingKey:
     """Cache key: everything the timing of a job can depend on.
 
-    ``exact`` only matters for the engine backend (the bit-exact and numpy
-    vector ops follow identical schedules, but keeping it in the key makes the
-    cache trivially correct should that ever change), and ``backend``
-    separates engine-measured records from model estimates so a validation
-    run never serves one in place of the other.
+    ``backend`` separates engine-measured records from model estimates so a
+    validation run never serves one in place of the other.
     """
 
     config: Tuple[int, int, int, int, int, str]
@@ -84,11 +84,10 @@ class TimingKey:
     n: int
     k: int
     accumulate: bool
-    exact: bool
     backend: str
 
     @classmethod
-    def for_job(cls, config: RedMulEConfig, job: MatmulJob, exact: bool,
+    def for_job(cls, config: RedMulEConfig, job: MatmulJob,
                 backend: str) -> "TimingKey":
         """Build the key of ``job`` on ``config`` under ``backend``."""
         return cls(
@@ -97,7 +96,6 @@ class TimingKey:
             n=job.n,
             k=job.k,
             accumulate=job.accumulate,
-            exact=exact,
             backend=backend,
         )
 
@@ -292,12 +290,14 @@ class TimingCache:
         otherwise the cache is cleared first.  Loading counts neither hits
         nor misses.
 
-        Legacy files stay decodable: v3 files load with their traces absent
-        (the side-table did not exist yet), and v2 files additionally get
-        the implicit ``"fp16"`` format appended to their five-field config
-        keys (every v2-era record was binary16).  v1 files are still
-        rejected -- their model records predate the bit-exact analytical
-        model and carry stale cycle counts.
+        Legacy files stay decodable: v2-v4 keys drop their ``exact``
+        field, and two records that differed only in it merge into one
+        entry (``ValueError`` if their timings disagree); v3 files load with
+        their traces absent (the side-table did not exist yet), and v2
+        files additionally get the implicit ``"fp16"`` format appended to
+        their five-field config keys (every v2-era record was binary16).
+        v1 files are still rejected -- their model records predate the
+        bit-exact analytical model and carry stale cycle counts.
         """
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -307,18 +307,28 @@ class TimingCache:
                 f"unsupported timing-cache file version {version!r} "
                 f"(expected one of {_LOADABLE_VERSIONS})"
             )
-        if not merge:
-            self.clear()
-        entries = payload["entries"]
-        for entry in entries:
+        loaded: Dict[TimingKey, TimingRecord] = {}
+        for entry in payload["entries"]:
             raw_key = dict(entry["key"])
+            if version < 5:
+                raw_key.pop("exact", None)
             config = tuple(raw_key["config"])
             if version == 2 and len(config) == 5:
                 config = config + ("fp16",)
             raw_key["config"] = config
-            self.store(TimingKey(**raw_key), TimingRecord(**entry["record"]))
+            key = TimingKey(**raw_key)
+            record = TimingRecord(**entry["record"])
+            if loaded.setdefault(key, record) != record:
+                raise ValueError(
+                    f"timing-cache file {os.fspath(path)!r} holds conflicting "
+                    f"records for {key}: {loaded[key]} vs {record}"
+                )
+        if not merge:
+            self.clear()
+        for key, record in loaded.items():
+            self.store(key, record)
         self.traces.update(payload.get("traces", {}))
-        return len(entries)
+        return len(loaded)
 
     def describe(self) -> str:
         """One-line summary used by the runner's ``--farm-stats`` flag."""

@@ -11,11 +11,13 @@ cycle-accurate model:
 * :mod:`repro.fp.fma` -- a bit-exact fused multiply-add (single rounding),
   addition and multiplication, operating on 16-bit patterns.
 * :mod:`repro.fp.flags` -- IEEE exception flags raised by an operation.
-* :mod:`repro.fp.simd` -- vectorised bit-exact kernels over ``uint16``
-  arrays (array transliteration of :mod:`repro.fp.fma`), used by the
-  array-oriented simulator backends.
-* :mod:`repro.fp.arith` -- pluggable arithmetic backends (bit-exact or
-  numpy-accelerated) used by the datapath simulator.
+* :mod:`repro.fp.formats` -- the parameterised formats (FP16, BF16, FP8)
+  and their scalar bit-exact algorithms.
+* :mod:`repro.fp.simd_formats` -- vectorised bit-exact kernels over pattern
+  arrays of any format (array transliteration of the scalar oracles), used
+  by the array-oriented simulator backends.
+* :mod:`repro.fp.arith` -- bit-exact scalar arithmetic backends used by the
+  structural FMA models.
 * :mod:`repro.fp.vector` -- helpers to move matrices between numpy arrays and
   FP16 bit patterns / byte images.
 """
@@ -69,19 +71,7 @@ from repro.fp.simd_formats import (
     neg_many_fmt,
     pack_many_fmt,
 )
-from repro.fp.simd import (
-    add16_many,
-    classify_many,
-    decompose_many,
-    fma16_guarded_f64,
-    fma16_many,
-    mul16_many,
-    neg16_many,
-    pack_many,
-    round_shifted_many,
-    sub16_many,
-)
-from repro.fp.arith import BitExactFormat, BitExactFp16, Fp16Arithmetic, NumpyFp16
+from repro.fp.arith import BitExactFormat, BitExactFp16, Fp16Arithmetic
 from repro.fp.vector import (
     matrix_from_bits,
     matrix_from_bits_fmt,
@@ -140,18 +130,12 @@ __all__ = [
     "Float16",
     "FloatClass",
     "Fp16Arithmetic",
-    "NumpyFp16",
     "RoundingMode",
     "add16",
-    "add16_many",
     "bits_to_float",
     "classify",
-    "classify_many",
-    "decompose_many",
     "float_to_bits",
     "fma16",
-    "fma16_guarded_f64",
-    "fma16_many",
     "is_finite",
     "is_inf",
     "is_nan",
@@ -160,12 +144,7 @@ __all__ = [
     "matrix_from_bits",
     "matrix_to_bits",
     "mul16",
-    "mul16_many",
     "neg16",
-    "neg16_many",
-    "pack_many",
-    "round_shifted_many",
-    "sub16_many",
     "pack_fp16_matrix",
     "quantize_fp16",
     "random_fp16_matrix",

@@ -1,27 +1,22 @@
-"""Pluggable FP16 arithmetic backends for the datapath simulator.
+"""Scalar bit-exact arithmetic backends for the structural FMA models.
 
-The cycle-accurate RedMulE model issues one FMA per active unit per cycle.
-Two interchangeable backends implement that operation:
+The structural models (:mod:`repro.redmule.fma_unit`,
+:mod:`repro.redmule.row`) issue one FMA per active unit per cycle through
+this small interface:
 
 * :class:`BitExactFp16` -- bit-exact IEEE binary16 FMA built on
-  :func:`repro.fp.fma.fma16`.  This is the reference backend used by the
-  functional verification tests; its results match the silicon exactly.
-* :class:`NumpyFp16` -- a fast backend that evaluates the FMA in binary64 and
-  rounds once to binary16 via numpy.  Because the binary64 product of two
-  binary16 values is exact and the final rounding happens once, this agrees
-  with the bit-exact backend except in astronomically rare double-rounding
-  corner cases; it is the default for large performance sweeps.
+  :func:`repro.fp.fma.fma16`, with selectable rounding and optional
+  exception-flag tracking; its results match the silicon exactly.
+* :class:`BitExactFormat` -- the same for any registered element format.
 
-Both backends speak 16-bit patterns, the same representation used by the
-memory system, so swapping them never changes the structure of the simulated
-machine -- only the cost of evaluating each FMA in Python.
+Both backends speak bit patterns, the same representation used by the
+memory system, so the structural models never depend on how an FMA is
+evaluated.
 """
 
 from __future__ import annotations
 
 import abc
-
-import numpy as np
 
 from repro.fp.flags import ExceptionFlags
 from repro.fp.float16 import bits_to_float, float_to_bits
@@ -117,36 +112,3 @@ class BitExactFormat(Fp16Arithmetic):
 
     def from_float(self, value: float) -> int:
         return self.fmt.float_to_bits(value)
-
-
-class NumpyFp16(Fp16Arithmetic):
-    """Fast backend: binary64 evaluation with one final rounding via numpy.
-
-    Only round-to-nearest-even is supported (numpy's conversion mode), which
-    is the hardware default and the only mode RedMulE uses.
-    """
-
-    name = "numpy"
-
-    def __init__(self) -> None:
-        self._to_f16 = np.float16
-
-    def _round(self, value: float) -> int:
-        return int(np.float16(value).view(np.uint16))
-
-    def _decode(self, bits: int) -> float:
-        return float(np.uint16(bits).view(np.float16))
-
-    def fma(self, a: int, b: int, c: int) -> int:
-        return self._round(self._decode(a) * self._decode(b) + self._decode(c))
-
-    def mul(self, a: int, b: int) -> int:
-        return self._round(self._decode(a) * self._decode(b))
-
-    def add(self, a: int, b: int) -> int:
-        return self._round(self._decode(a) + self._decode(b))
-
-
-def default_arithmetic(exact: bool = True) -> Fp16Arithmetic:
-    """Return the default backend (bit-exact unless ``exact=False``)."""
-    return BitExactFp16() if exact else NumpyFp16()

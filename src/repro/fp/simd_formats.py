@@ -1,12 +1,15 @@
 """Vectorised bit-exact arithmetic for any :class:`~repro.fp.formats.BinaryFormat`.
 
-This module generalises the binary16-specialised kernels of
-:mod:`repro.fp.simd` to every registered format (FP16, BF16, FP8-E4M3,
-FP8-E5M2) *and* to mixed-precision accumulation (narrow multiply, wide
-accumulate).  All kernels operate on integer pattern arrays with pure int64
-bit manipulation and are bit-for-bit identical to the scalar oracles in
+The kernels cover every registered format (FP16, BF16, FP8-E4M3, FP8-E5M2)
+*and* mixed-precision accumulation (narrow multiply, wide accumulate).  All
+of them operate on integer pattern arrays with pure int64 bit manipulation
+and are bit-for-bit identical to the scalar oracles in
 :mod:`repro.fp.formats`, element by element, for every operand class and
 every rounding mode; the property tests assert the equivalence.
+
+IEEE exception flags are *aggregated*: when a ``flags`` accumulator is
+passed, a flag is raised if any element of the batch raised it, mirroring how
+a hardware vector unit ORs the per-lane status into one ``fflags`` register.
 
 Implementation notes
 --------------------
@@ -18,9 +21,9 @@ Implementation notes
     the product cannot reach the result's guard/round significance, the
     workspace keeps the addend with ``G = man_res + 6`` spare low bits and
     the product collapses to a ``1`` in the workspace LSB;
-  - **dominant product** (new relative to the FP16 kernel -- BF16's wide
-    exponent range makes it reachable): symmetrically, the addend collapses
-    to a ``1`` below the shifted product.
+  - **dominant product** (reachable through BF16's wide exponent range):
+    symmetrically, the addend collapses to a ``1`` below the shifted
+    product.
 
   In both cases the substituted operand lies strictly below the workspace
   LSB, so only the "are the discarded bits non-zero" question -- never their
@@ -31,6 +34,12 @@ Implementation notes
   half-comparison makes the same decision as the unclamped one.
 * Special operand classes flow through the integer path as bounded garbage
   and are overwritten by masked selects in scalar-priority order.
+* Binary16 is the one format numpy can round to natively: its
+  ``float64 -> float16`` cast is a single correctly rounded RNE step.  The
+  RNE encode of :func:`f64_to_bits_many` and the hot path of
+  :func:`fma_guarded_f64_fmt` use that cast for binary16 instead of the
+  generic integer pack, which is an order of magnitude slower; every other
+  path is format-generic.
 """
 
 from __future__ import annotations
@@ -45,6 +54,11 @@ from repro.fp.rounding import RoundingMode
 
 #: Per-format decode lookup tables (pattern -> exact float64 value).
 _DECODE_TABLES: Dict[str, np.ndarray] = {}
+
+
+def _is_binary16(fmt: BinaryFormat) -> bool:
+    """True for the IEEE binary16 layout, the one numpy rounds to natively."""
+    return fmt.exp_bits == 5 and fmt.man_bits == 10
 
 
 def format_dtype(fmt: BinaryFormat):
@@ -110,6 +124,13 @@ def f64_to_bits_many(
     :meth:`BinaryFormat.float_to_bits` over the array.
     """
     values = np.asarray(values, dtype=np.float64)
+    if mode is RoundingMode.RNE and flags is None and _is_binary16(fmt):
+        with np.errstate(over="ignore"):
+            bits = values.astype(np.float16).view(np.uint16)
+        nan = np.isnan(values)
+        if nan.any():
+            bits = np.where(nan, np.uint16(fmt.nan_bits), bits)
+        return bits
     shape = values.shape
     raw = values.ravel().view(np.uint64).astype(np.int64)
     sign = (raw >> 63) & 0x1
@@ -537,20 +558,29 @@ def fma_guarded_f64_fmt(
 ) -> np.ndarray:
     """Bit-exact FMA (RNE) over float64 operands holding exact ``fmt`` values.
 
-    Generic counterpart of :func:`repro.fp.simd.fma16_guarded_f64`: the
-    product of two ``fmt`` values is always exact in float64, so the only
-    rounding hazard is the addition.  A TwoSum error term detects exactly
-    the lanes whose float64 sum is inexact (where the final conversion to
-    ``fmt`` would double-round) and those lanes -- plus NaNs, whose error
-    term is NaN -- are recomputed through the integer kernel.  Returns a
-    ``float64`` array of exactly representable ``fmt`` values.
+    The hot path evaluates ``x * w + acc`` in float64 and rounds once to
+    ``fmt``.  The product of two ``fmt`` values is always exact in float64,
+    so the only rounding hazard is the addition.  A TwoSum error term
+    detects exactly the lanes whose float64 sum is inexact (where the final
+    conversion to ``fmt`` would double-round); error == 0 proves the float64
+    sum is the exact result, subnormals and overflow included.  Those lanes
+    -- rare for realistic data -- plus NaNs, whose error term is NaN, are
+    recomputed through the integer kernel :func:`fma_many_fmt`.  Binary16
+    rounds with numpy's native ``float16`` cast, every other format with
+    the generic pack.
+
+    Inputs must broadcast against each other; returns a ``float64`` array
+    of exactly representable ``fmt`` values.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         product = x64 * w64
         total = product + acc64
         virtual_product = total - acc64
         error = (product - virtual_product) + (acc64 - (total - virtual_product))
-        rounded = bits_to_f64_many(f64_to_bits_many(total, fmt), fmt)
+        if _is_binary16(fmt):
+            rounded = total.astype(np.float16).astype(np.float64)
+        else:
+            rounded = bits_to_f64_many(f64_to_bits_many(total, fmt), fmt)
         double_rounding_risk = error != 0
     if double_rounding_risk.any():
         lanes = np.nonzero(double_rounding_risk)

@@ -38,9 +38,8 @@ from repro.redmule.perf_model import (
     RedMulEPerfModel,
 )
 from repro.redmule.functional import (
-    matmul_hw_order_exact,
-    matmul_hw_order_fast,
-    matmul_hw_order_simd,
+    matmul_hw_order_exact_fmt,
+    matmul_hw_order_simd_fmt,
     matmul_reference_fp32,
 )
 from repro.redmule.trace import (
@@ -51,20 +50,20 @@ from repro.redmule.trace import (
     shared_trace_store,
 )
 from repro.redmule.vector_ops import (
+    DEFAULT_BACKEND,
     VECTOR_OPS_BACKENDS,
     ExactSimdVectorOps,
     ExactVectorOps,
-    FastVectorOps,
     TraceVectorOps,
     backend_schedule_compiled,
     make_vector_ops,
 )
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "Datapath",
     "ExactSimdVectorOps",
     "ExactVectorOps",
-    "FastVectorOps",
     "FmaRow",
     "MatmulJob",
     "PerfEstimate",
@@ -89,9 +88,8 @@ __all__ = [
     "ZStoreBuffer",
     "backend_schedule_compiled",
     "make_vector_ops",
-    "matmul_hw_order_exact",
-    "matmul_hw_order_fast",
-    "matmul_hw_order_simd",
+    "matmul_hw_order_exact_fmt",
+    "matmul_hw_order_simd_fmt",
     "matmul_reference_fp32",
     "replay_dataplane",
     "reset_shared_trace_stores",

@@ -37,18 +37,18 @@ class ColumnEntry:
 
 
 class Datapath:
-    """``H`` column pipelines of ``L``-wide FP16 FMA vectors.
+    """``H`` column pipelines of ``L``-wide FMA vectors.
 
-    ``exact`` selects the arithmetic strategy from the vector-ops registry:
-    it accepts a backend name (``"exact"``, ``"exact-simd"``, ``"fast"``) or
-    the legacy boolean (``True`` = scalar bit-exact, ``False`` = float64).
+    ``vector_ops`` is the arithmetic strategy (see
+    :mod:`repro.redmule.vector_ops`); it defaults to the default backend in
+    the configuration's element format.
     """
 
-    def __init__(self, config: RedMulEConfig, exact=True,
+    def __init__(self, config: RedMulEConfig,
                  vector_ops: Optional[VectorOps] = None) -> None:
         self.config = config
         if vector_ops is None:
-            vector_ops = make_vector_ops(exact, config.binary_format)
+            vector_ops = make_vector_ops(fmt=config.binary_format)
         self.ops = vector_ops
         self._pipes: List[Deque[ColumnEntry]] = [
             deque() for _ in range(config.height)

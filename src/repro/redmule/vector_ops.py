@@ -9,14 +9,13 @@ the arithmetic on those vectors:
   FMA is evaluated with the bit-exact scalar implementation
   (:func:`repro.fp.formats.fma_bits`).  Slow; the ground-truth oracle.
 * :class:`ExactSimdVectorOps` -- bit-identical to :class:`ExactVectorOps`,
-  array-backed: FMAs are evaluated with the vectorised bit-exact kernels of
-  :mod:`repro.fp.simd` / :mod:`repro.fp.simd_formats`.  Issued FMAs are
-  recorded as a lazy dependency chain and evaluated in batches (all of a
-  tile's independent accumulator chains side by side) when results are
-  observed, so the per-element kernel cost is amortised over whole rows.
-* :class:`FastVectorOps` -- vectors are numpy ``float64`` arrays holding
-  exactly representable format values; the FMA is evaluated in ``float64``
-  and rounded once per step.  Fast, used for performance sweeps.
+  array-backed: vectors are numpy ``float64`` arrays holding exact format
+  values and FMAs are evaluated with the guarded bit-exact kernel of
+  :mod:`repro.fp.simd_formats`.  Issued FMAs are recorded as a lazy
+  dependency chain and evaluated in batches (all of a tile's independent
+  accumulator chains side by side) when results are observed, so the
+  per-element kernel cost is amortised over whole rows.  The default
+  backend (:data:`DEFAULT_BACKEND`).
 * :class:`TraceVectorOps` -- :class:`ExactSimdVectorOps` plus trace
   compilation: the engine records each tile signature's cycle schedule once
   and replays later tiles as batched data-plane computations
@@ -47,7 +46,6 @@ from typing import Callable, Dict, List, Sequence, Union
 import numpy as np
 
 from repro.fp.formats import FP16, BinaryFormat, fma_bits, get_format
-from repro.fp.simd import fma16_guarded_f64
 from repro.fp.simd_formats import (
     bits_to_f64_many,
     f64_to_bits_many,
@@ -63,8 +61,6 @@ class VectorOps(abc.ABC):
 
     #: Strategy name used in traces, reports and the backend registry.
     name: str = "abstract"
-    #: True when the strategy reproduces the hardware bit patterns exactly.
-    bit_exact: bool = False
     #: True when engines built on this strategy should record and replay
     #: compiled cycle schedules (see :mod:`repro.redmule.trace`).
     schedule_compiled: bool = False
@@ -157,7 +153,6 @@ class ExactVectorOps(VectorOps):
     """Bit-exact scalar strategy: vectors are lists of bit patterns."""
 
     name = "exact"
-    bit_exact = True
 
     def from_bits(self, bits: Sequence[int]) -> List[int]:
         return [int(v) for v in bits]
@@ -210,116 +205,34 @@ class _PendingFma:
         self.values = None
 
 
-class FastVectorOps(VectorOps):
-    """Numpy strategy: vectors are float64 arrays of exact format values."""
+class ExactSimdVectorOps(VectorOps):
+    """Bit-exact array strategy built on the guarded SIMD kernel.
 
-    name = "fast"
-    bit_exact = False
-
-    def __init__(self, fmt: Union[str, BinaryFormat, None] = None) -> None:
-        super().__init__(fmt)
-        self._is_fp16 = self.fmt.name == "fp16"
-
-    # -- representation bridges ---------------------------------------------
-    def _decode(self, bits) -> np.ndarray:
-        if self._is_fp16:
-            u16 = np.asarray(bits, dtype=np.uint16)
-            return u16.view(np.float16).astype(np.float64)
-        return bits_to_f64_many(bits, self.fmt)
-
-    def _encode(self, values: np.ndarray) -> np.ndarray:
-        if self._is_fp16:
-            return np.asarray(values, dtype=np.float64).astype(
-                np.float16).view(np.uint16)
-        return f64_to_bits_many(np.asarray(values, dtype=np.float64), self.fmt)
-
-    def _round(self, values: np.ndarray) -> np.ndarray:
-        if self._is_fp16:
-            return values.astype(np.float16).astype(np.float64)
-        return bits_to_f64_many(self._encode(values), self.fmt)
-
-    def from_bits(self, bits) -> np.ndarray:
-        return self._decode(bits)
-
-    def to_bits(self, vector: np.ndarray) -> List[int]:
-        return [int(v) for v in self._encode(np.asarray(vector,
-                                                        dtype=np.float64))]
-
-    def zeros(self, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.float64)
-
-    def fma(self, x_vector: np.ndarray, w_slot,
-            acc_vector: np.ndarray) -> np.ndarray:
-        if self.lanes == 1:
-            if isinstance(w_slot, (int, np.integer)):
-                w_value = self.fmt.bits_to_float(int(w_slot))
-            else:
-                w_value = float(w_slot)
-            raw = x_vector * w_value + acc_vector
-        else:
-            w = np.asarray(w_slot, dtype=np.float64)
-            raw = (np.asarray(x_vector)[:, None] * w[None, :]).ravel() + acc_vector
-        return self._round(raw)
-
-    def gather(self, lines: Sequence[np.ndarray], offset: int) -> np.ndarray:
-        return np.array([line[offset] for line in lines], dtype=np.float64)
-
-    def gather_slot(self, lines: Sequence[np.ndarray], slot: int) -> np.ndarray:
-        if self.lanes == 1:
-            return self.gather(lines, slot)
-        base = slot * self.lanes
-        return np.concatenate(
-            [np.asarray(line[base : base + self.lanes], dtype=np.float64)
-             for line in lines]
-        )
-
-    # -- line-level interface ----------------------------------------------
-    def from_line(self, line) -> np.ndarray:
-        # W lines are decoded to float64 values once per line, so the per
-        # issue hot path no longer decodes the broadcast operands from bits.
-        return self._decode(line)
-
-    def zero_line(self, n: int) -> np.ndarray:
-        return np.zeros(n, dtype=np.float64)
-
-    def to_lines(self, columns: Sequence) -> np.ndarray:
-        stacked = np.stack([np.asarray(c, dtype=np.float64) for c in columns])
-        n_slots, flat = stacked.shape
-        lanes = self.lanes
-        if lanes > 1:
-            # (slot, row, lane) -> (row, slot * lanes + lane)
-            stacked = stacked.reshape(n_slots, flat // lanes, lanes)
-            stacked = stacked.transpose(1, 0, 2).reshape(flat // lanes,
-                                                         n_slots * lanes)
-        else:
-            stacked = stacked.T
-        return self._encode(stacked)
-
-
-class ExactSimdVectorOps(FastVectorOps):
-    """Bit-exact array strategy built on the vectorised SIMD kernels.
-
-    Shares :class:`FastVectorOps`' representation -- ``float64`` arrays
-    holding exact format values (patterns only appear at the memory
-    boundaries) -- but replaces its arithmetic: :meth:`fma` records a lazy
-    node instead of evaluating immediately, and when a result is observed
-    (via :meth:`to_bits` / :meth:`to_lines` / :meth:`gather`) every chain the
+    Vectors are ``float64`` arrays holding exact format values (patterns
+    only appear at the memory boundaries).  :meth:`fma` records a lazy node
+    instead of evaluating immediately, and when a result is observed (via
+    :meth:`to_bits` / :meth:`to_lines` / :meth:`gather`) every chain the
     requested values depend on is evaluated level by level with one guarded
     kernel call per dependency depth, stacking all same-depth nodes (e.g.
     the ``block_k`` independent accumulator chains of a tile) into a single
-    kernel batch.  The guarded kernel (:func:`repro.fp.simd.
-    fma16_guarded_f64` for binary16, :func:`repro.fp.simd_formats.
-    fma_guarded_f64_fmt` for every other format) routes any lane where
-    float64 evaluation could double-round through the integer kernels, so
-    deferral and the float hot path never change the produced bits -- only
-    how many elements each kernel invocation covers.
+    kernel batch.  The guarded kernel
+    (:func:`repro.fp.simd_formats.fma_guarded_f64_fmt`) routes any lane
+    where float64 evaluation could double-round through the integer
+    kernels, so deferral and the float hot path never change the produced
+    bits -- only how many elements each kernel invocation covers.
     """
 
     name = "exact-simd"
-    bit_exact = True
+
+    def from_bits(self, bits) -> np.ndarray:
+        return bits_to_f64_many(bits, self.fmt)
 
     def to_bits(self, vector) -> List[int]:
-        return super().to_bits(self._materialise(vector))
+        return [int(v) for v in f64_to_bits_many(self._materialise(vector),
+                                                 self.fmt)]
+
+    def zeros(self, n: int) -> np.ndarray:
+        return np.zeros(n, dtype=np.float64)
 
     def fma(self, x_vector, w_slot, acc_vector) -> _PendingFma:
         if isinstance(x_vector, _PendingFma):
@@ -336,22 +249,39 @@ class ExactSimdVectorOps(FastVectorOps):
         return _PendingFma(x, w, acc_vector)
 
     def gather(self, lines: Sequence, offset: int) -> np.ndarray:
-        return super().gather([self._materialise(line) for line in lines],
-                              offset)
+        return np.array([self._materialise(line)[offset] for line in lines],
+                        dtype=np.float64)
 
     def gather_slot(self, lines: Sequence, slot: int) -> np.ndarray:
-        return super().gather_slot(
-            [self._materialise(line) for line in lines], slot
+        if self.lanes == 1:
+            return self.gather(lines, slot)
+        base = slot * self.lanes
+        return np.concatenate(
+            [self._materialise(line)[base : base + self.lanes]
+             for line in lines]
         )
 
-    def to_lines(self, columns: Sequence) -> np.ndarray:
-        return super().to_lines(self._force(list(columns)))
+    # -- line-level interface ----------------------------------------------
+    def from_line(self, line) -> np.ndarray:
+        # W lines are decoded to float64 values once per line, so the per
+        # issue hot path never decodes the broadcast operands from bits.
+        return bits_to_f64_many(line, self.fmt)
 
-    def _guarded(self, x: np.ndarray, w: np.ndarray,
-                 acc: np.ndarray) -> np.ndarray:
-        if self._is_fp16:
-            return fma16_guarded_f64(x, w, acc).astype(np.float64)
-        return fma_guarded_f64_fmt(x, w, acc, self.fmt)
+    def zero_line(self, n: int) -> np.ndarray:
+        return np.zeros(n, dtype=np.float64)
+
+    def to_lines(self, columns: Sequence) -> np.ndarray:
+        stacked = np.stack(self._force(list(columns)))
+        n_slots, flat = stacked.shape
+        lanes = self.lanes
+        if lanes > 1:
+            # (slot, row, lane) -> (row, slot * lanes + lane)
+            stacked = stacked.reshape(n_slots, flat // lanes, lanes)
+            stacked = stacked.transpose(1, 0, 2).reshape(flat // lanes,
+                                                         n_slots * lanes)
+        else:
+            stacked = stacked.T
+        return f64_to_bits_many(stacked, self.fmt)
 
     # -- lazy-chain evaluation ---------------------------------------------
     def _materialise(self, vector) -> np.ndarray:
@@ -402,7 +332,7 @@ class ExactSimdVectorOps(FastVectorOps):
                 node.acc.values if isinstance(node.acc, _PendingFma) else node.acc
                 for node in level
             ])
-            values = self._guarded(x, w, acc)
+            values = fma_guarded_f64_fmt(x, w, acc, self.fmt)
             for row, node in enumerate(level):
                 node.values = values[row]
         return [self._materialise(v) for v in vectors]
@@ -418,7 +348,6 @@ class TraceVectorOps(ExactSimdVectorOps):
     """
 
     name = "trace"
-    bit_exact = True
     schedule_compiled = True
 
 
@@ -426,12 +355,14 @@ class TraceVectorOps(ExactSimdVectorOps):
 VECTOR_OPS_REGISTRY: Dict[str, Callable[..., VectorOps]] = {
     ExactVectorOps.name: ExactVectorOps,
     ExactSimdVectorOps.name: ExactSimdVectorOps,
-    FastVectorOps.name: FastVectorOps,
     TraceVectorOps.name: TraceVectorOps,
 }
 
 #: Valid backend names, in oracle-first order (CLI choices, docs).
 VECTOR_OPS_BACKENDS = tuple(VECTOR_OPS_REGISTRY)
+
+#: Backend engines, clusters and farms simulate with unless told otherwise.
+DEFAULT_BACKEND = ExactSimdVectorOps.name
 
 
 def backend_schedule_compiled(backend: str) -> bool:
@@ -450,16 +381,11 @@ def validate_backend_name(backend: str) -> str:
 
 
 def make_vector_ops(
-    backend: Union[str, bool] = "exact",
+    backend: str = DEFAULT_BACKEND,
     fmt: Union[str, BinaryFormat, None] = None,
 ) -> VectorOps:
     """Build the strategy registered under ``backend`` for element format ``fmt``.
 
-    Booleans are accepted for backward compatibility: ``True`` selects the
-    scalar bit-exact oracle, ``False`` the float64 fast path.  ``fmt``
-    defaults to binary16.
+    ``fmt`` defaults to binary16.
     """
-    if isinstance(backend, bool):
-        backend = "exact" if backend else "fast"
     return VECTOR_OPS_REGISTRY[validate_backend_name(backend)](fmt)
-

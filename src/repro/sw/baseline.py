@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.redmule.functional import matmul_hw_order_simd
+from repro.fp.formats import FP16
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.sw.kernel import KernelCostModel, KernelParameters
 from repro.sw.parallel import ParallelizationModel, ParallelParameters
 
@@ -84,7 +85,7 @@ class SoftwareBaseline:
         Evaluated with the guarded SIMD kernels, so it reproduces the
         accelerator's single-rounded FP16 accumulation exactly.
         """
-        return matmul_hw_order_simd(x, w)
+        return matmul_hw_order_simd_fmt(x, w, FP16).astype(np.float32)
 
     @property
     def peak_macs_per_cycle(self) -> float:

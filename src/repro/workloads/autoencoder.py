@@ -19,8 +19,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.fp.formats import FP16
 from repro.fp.vector import quantize_fp16, random_fp16_matrix
-from repro.redmule.functional import matmul_hw_order_fast
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.workloads.gemm import GemmWorkload
 from repro.workloads.training import TrainingGemm, training_step_gemms
 
@@ -29,6 +30,11 @@ from repro.workloads.training import TrainingGemm, training_step_gemms
 AUTOENCODER_LAYER_SIZES: Tuple[int, ...] = (
     640, 128, 128, 128, 128, 8, 128, 128, 128, 128, 640
 )
+
+
+def _hw_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bit-exact FP16 hardware-order ``x . w`` as float32 (exact FP16 values)."""
+    return matmul_hw_order_simd_fmt(x, w, FP16).astype(np.float32)
 
 
 def autoencoder_training_gemms(batch: int) -> List[TrainingGemm]:
@@ -111,7 +117,7 @@ class AutoEncoder:
             )
         activations = [activation]
         for layer, weight in enumerate(self.weights):
-            pre = matmul_hw_order_fast(weight, activation)
+            pre = _hw_matmul(weight, activation)
             if layer < self.n_layers - 1:
                 activation = quantize_fp16(np.maximum(pre, 0.0))
             else:
@@ -137,9 +143,9 @@ class AutoEncoder:
         gradients: List[Optional[np.ndarray]] = [None] * self.n_layers
         for layer in reversed(range(self.n_layers)):
             input_activation = activations[layer]
-            gradients[layer] = matmul_hw_order_fast(delta, input_activation.T)
+            gradients[layer] = _hw_matmul(delta, input_activation.T)
             if layer > 0:
-                propagated = matmul_hw_order_fast(self.weights[layer].T, delta)
+                propagated = _hw_matmul(self.weights[layer].T, delta)
                 relu_mask = (activations[layer] > 0).astype(np.float32)
                 delta = quantize_fp16(propagated * relu_mask)
         return gradients  # type: ignore[return-value]

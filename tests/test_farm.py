@@ -49,7 +49,7 @@ def _direct_run(m, n, k, accumulate=False, config=None):
     config = config or RedMulEConfig.reference()
     tcdm = Tcdm()
     hci = Hci(tcdm, HciConfig(n_wide_ports=config.n_mem_ports))
-    engine = RedMulE(config, hci, exact=False)
+    engine = RedMulE(config, hci)
     allocator = MemoryAllocator(tcdm.base, tcdm.size)
     hx = allocator.alloc_matrix(m, n, "X")
     hw = allocator.alloc_matrix(n, k, "W")
@@ -245,7 +245,7 @@ class TestValidationMode:
         farm.run_gemm(8, 16, 16)
         model_key = TimingKey(
             config=config_key(farm.config), m=8, n=16, k=16,
-            accumulate=False, exact=False, backend=BACKEND_MODEL,
+            accumulate=False, backend=BACKEND_MODEL,
         )
         assert farm.cache.peek(model_key) is not None
 
@@ -376,7 +376,7 @@ class TestWorkerHelpers:
         # reference TCDM -- so this exercises the worker's TCDM resize path
         # (the shape is engine-eligible under the default auto threshold).
         record = simulate_engine_timing(
-            config_key(RedMulEConfig.reference()), 256, 256, 4, False, False
+            config_key(RedMulEConfig.reference()), 256, 256, 4, False
         )
         assert record.cycles > record.ideal_cycles
         assert record.total_macs == 256 * 256 * 4
@@ -385,8 +385,7 @@ class TestWorkerHelpers:
         from repro.farm.workers import simulate_key
 
         key = TimingKey(config=config_key(RedMulEConfig.reference()),
-                        m=1, n=1, k=1, accumulate=False, exact=False,
-                        backend="fpga")
+                        m=1, n=1, k=1, accumulate=False, backend="fpga")
         with pytest.raises(ValueError):
             simulate_key(key)
 

@@ -1,6 +1,7 @@
 """Tests for timing-cache persistence (`TimingCache.save` / `load`)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,9 +16,21 @@ def _record(cycles=100, backend="engine"):
     )
 
 
-def _key(m=8, n=16, k=16, backend="engine", exact=False):
+def _key(m=8, n=16, k=16, backend="engine"):
     return TimingKey(config=(4, 8, 3, 1, 8), m=m, n=n, k=k,
-                     accumulate=False, exact=exact, backend=backend)
+                     accumulate=False, backend=backend)
+
+
+def _v4_entry(exact, cycles=100, m=8):
+    """One entry as a v4 file wrote it: the key still carries ``exact``."""
+    return {"key": {"config": [4, 8, 3, 1, 8, "fp16"], "m": m, "n": 16,
+                    "k": 16, "accumulate": False, "exact": exact,
+                    "backend": "engine"},
+            "record": {"cycles": cycles, "stall_cycles": 7,
+                       "active_cycles": 80, "total_macs": 2048,
+                       "issued_macs": 4096, "n_tiles": 2,
+                       "peak_macs_per_cycle": 32, "ideal_cycles": 64,
+                       "backend": "engine"}}
 
 
 class TestTimingCachePersistence:
@@ -81,6 +94,35 @@ class TestTimingCachePersistence:
         path.write_text(json.dumps({"version": 99, "entries": []}))
         with pytest.raises(ValueError):
             TimingCache().load(path)
+
+    def test_v4_exact_and_inexact_records_merge_into_one_entry(self,
+                                                               tmp_path):
+        """Timing never depended on the arithmetic, so a v4 file's
+        ``exact=True`` and ``exact=False`` records of one shape are the same
+        record and load as a single entry."""
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": 4, "entries": [
+            _v4_entry(exact=True), _v4_entry(exact=False),
+            _v4_entry(exact=False, cycles=300, m=32)]}))
+        cache = TimingCache()
+        assert cache.load(path) == 2
+        assert len(cache) == 2
+        key = TimingKey(config=(4, 8, 3, 1, 8, "fp16"), m=8, n=16, k=16,
+                        accumulate=False, backend="engine")
+        assert cache.peek(key) == _record()
+        assert cache.peek(replace(key, m=32)).cycles == 300
+
+    def test_v4_records_that_disagree_across_exact_are_rejected(self,
+                                                                tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"version": 4, "entries": [
+            _v4_entry(exact=True), _v4_entry(exact=False, cycles=101)]}))
+        cache = TimingCache()
+        cache.store(_key(m=99), _record(999))
+        with pytest.raises(ValueError, match="conflicting"):
+            cache.load(path, merge=False)
+        # A rejected file leaves the cache untouched.
+        assert len(cache) == 1
 
     def test_load_does_not_count_lookups(self, tmp_path):
         path = tmp_path / "cache.json"

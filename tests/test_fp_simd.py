@@ -1,8 +1,10 @@
-"""Tests for the vectorised bit-exact FP16 kernels (:mod:`repro.fp.simd`).
+"""Binary16 tests of the vectorised bit-exact kernels (:mod:`repro.fp.simd_formats`).
 
-The scalar substrate (:mod:`repro.fp.fma` et al.) is the oracle: every kernel
-must match it bit for bit, element by element, over directed special-value
-grids and large random sweeps, for every rounding mode.
+The scalar binary16 substrate (:mod:`repro.fp.fma` et al.) is the oracle:
+every format-generic kernel, run with ``FP16``, must match it bit for bit,
+element by element, over directed special-value grids and large random
+sweeps, for every rounding mode.  The other formats are covered by the
+property tests in ``test_fp_formats_properties``.
 """
 
 import itertools
@@ -12,7 +14,6 @@ import pytest
 
 from repro.fp.flags import ExceptionFlags
 from repro.fp.float16 import (
-    classify,
     decompose,
     is_finite,
     is_inf,
@@ -22,24 +23,20 @@ from repro.fp.float16 import (
     pack,
 )
 from repro.fp.fma import add16, fma16, mul16, neg16, sub16
+from repro.fp.formats import FP16
 from repro.fp.rounding import RoundingMode, round_shifted
-from repro.fp.simd import (
-    add16_many,
-    as_u16,
-    classify_many,
-    decompose_many,
-    fma16_guarded_f64,
-    fma16_many,
-    is_finite_many,
-    is_inf_many,
-    is_nan_many,
-    is_subnormal_many,
-    is_zero_many,
-    mul16_many,
-    neg16_many,
-    pack_many,
-    round_shifted_many,
-    sub16_many,
+from repro.fp.simd_formats import (
+    _decompose_magnitude_fmt,
+    _round_shifted_arrays_fmt,
+    add_many_fmt,
+    as_bits_many,
+    bits_to_f64_many,
+    f64_to_bits_many,
+    fma_guarded_f64_fmt,
+    fma_many_fmt,
+    mul_many_fmt,
+    neg_many_fmt,
+    pack_many_fmt,
 )
 
 #: Directed patterns covering every interesting encoding class: signed zeros,
@@ -69,11 +66,11 @@ def _triples_as_arrays(triples):
 
 def _assert_fma_matches_scalar(triples, mode):
     a, b, c = _triples_as_arrays(triples)
-    got = fma16_many(a, b, c, mode)
+    got = fma_many_fmt(a, b, c, FP16, mode)
     for i, (x, y, z) in enumerate(triples):
         want = fma16(x, y, z, mode)
         assert int(got[i]) == want, (
-            f"fma16_many mismatch at {mode}: "
+            f"fma_many_fmt mismatch at {mode}: "
             f"a={x:#06x} b={y:#06x} c={z:#06x} "
             f"want={want:#06x} got={int(got[i]):#06x}"
         )
@@ -119,15 +116,15 @@ class TestFmaDirected:
     def test_broadcasting_and_shape(self):
         a = np.array([[0x3C00, 0x4000]], dtype=np.uint16)
         c = np.array([[0x0000], [0x3C00]], dtype=np.uint16)
-        out = fma16_many(a, np.uint16(0x3C00), c)
+        out = fma_many_fmt(a, np.uint16(0x3C00), c, FP16)
         assert out.shape == (2, 2)
         assert int(out[1, 0]) == fma16(0x3C00, 0x3C00, 0x3C00)
 
     def test_rejects_out_of_range_patterns(self):
         with pytest.raises(ValueError):
-            fma16_many([0x10000], [0], [0])
+            fma_many_fmt([0x10000], [0], [0], FP16)
         with pytest.raises(TypeError):
-            fma16_many([1.5], [0], [0])
+            fma_many_fmt([1.5], [0], [0], FP16)
 
 
 class TestFmaRandom:
@@ -151,7 +148,7 @@ class TestOtherKernels:
                   for _ in range(4000)]
         a = np.array([p[0] for p in pairs], dtype=np.uint16)
         b = np.array([p[1] for p in pairs], dtype=np.uint16)
-        got = mul16_many(a, b, mode)
+        got = mul_many_fmt(a, b, FP16, mode)
         for i, (x, y) in enumerate(pairs):
             assert int(got[i]) == mul16(x, y, mode)
 
@@ -163,15 +160,15 @@ class TestOtherKernels:
                   for _ in range(2000)]
         a = np.array([p[0] for p in pairs], dtype=np.uint16)
         b = np.array([p[1] for p in pairs], dtype=np.uint16)
-        added = add16_many(a, b, mode)
-        subbed = sub16_many(a, b, mode)
+        added = add_many_fmt(a, b, FP16, mode)
+        subbed = add_many_fmt(a, neg_many_fmt(b, FP16), FP16, mode)
         for i, (x, y) in enumerate(pairs):
             assert int(added[i]) == add16(x, y, mode)
             assert int(subbed[i]) == sub16(x, y, mode)
 
     def test_neg_matches_scalar(self):
         bits = np.array(SPECIAL_PATTERNS, dtype=np.uint16)
-        got = neg16_many(bits)
+        got = neg_many_fmt(bits, FP16)
         for i, value in enumerate(SPECIAL_PATTERNS):
             assert int(got[i]) == neg16(value)
 
@@ -185,7 +182,7 @@ class TestFlags:
                     for _ in range(1000)]
         vector_flags = ExceptionFlags()
         a, b, c = _triples_as_arrays(triples)
-        fma16_many(a, b, c, mode, vector_flags)
+        fma_many_fmt(a, b, c, FP16, mode, vector_flags)
         scalar_flags = ExceptionFlags()
         for x, y, z in triples:
             fma16(x, y, z, mode, scalar_flags)
@@ -193,33 +190,32 @@ class TestFlags:
 
     def test_flags_quiet_on_exact_lanes(self):
         flags = ExceptionFlags()
-        fma16_many([0x3C00], [0x4000], [0x3C00], RoundingMode.RNE, flags)
+        fma_many_fmt([0x3C00], [0x4000], [0x3C00], FP16, RoundingMode.RNE,
+                     flags)
         assert not flags.any()
 
 
 class TestHelpers:
     def test_classification_matches_scalar(self):
+        # The decode table must put every pattern in the scalar's class.
         bits = np.array(SPECIAL_PATTERNS, dtype=np.uint16)
-        classes = classify_many(bits)
+        values = bits_to_f64_many(bits, FP16)
+        tiny = 2.0 ** -14
         for i, value in enumerate(SPECIAL_PATTERNS):
-            assert is_nan_many(bits)[i] == is_nan(value)
-            assert is_inf_many(bits)[i] == is_inf(value)
-            assert is_zero_many(bits)[i] == is_zero(value)
-            assert is_subnormal_many(bits)[i] == is_subnormal(value)
-            assert is_finite_many(bits)[i] == is_finite(value)
-            assert classes[i] is classify(value)
+            v = float(values[i])
+            assert np.isnan(v) == is_nan(value)
+            assert np.isinf(v) == is_inf(value)
+            assert (v == 0.0) == is_zero(value)
+            assert (v != 0.0 and abs(v) < tiny) == is_subnormal(value)
+            assert np.isfinite(v) == is_finite(value)
 
     def test_decompose_matches_scalar(self):
         finite = [b for b in SPECIAL_PATTERNS if is_finite(b) and not is_zero(b)]
-        sign, sig, exp = decompose_many(np.array(finite, dtype=np.uint16))
+        wide = np.array(finite, dtype=np.int64)
+        sig, exp = _decompose_magnitude_fmt(wide & FP16.abs_mask, FP16)
+        sign = wide >> 15
         for i, value in enumerate(finite):
             assert (int(sign[i]), int(sig[i]), int(exp[i])) == decompose(value)
-
-    def test_decompose_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            decompose_many([0x7C00])
-        with pytest.raises(ValueError):
-            decompose_many([0x0000])
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_round_shifted_matches_scalar(self, mode):
@@ -232,7 +228,8 @@ class TestHelpers:
         magnitude = np.array([c[0] for c in cases], dtype=np.int64)
         rshift = np.array([c[1] for c in cases], dtype=np.int64)
         negative = np.array([c[2] for c in cases], dtype=bool)
-        rounded, inexact = round_shifted_many(magnitude, rshift, mode, negative)
+        rounded, inexact = _round_shifted_arrays_fmt(magnitude, rshift, mode,
+                                                     negative)
         for i, (m, s, n) in enumerate(cases):
             want_r, want_i = round_shifted(m, s, mode, n)
             assert (int(rounded[i]), bool(inexact[i])) == (want_r, want_i)
@@ -249,17 +246,19 @@ class TestHelpers:
         magnitude = np.array([c[1] for c in cases], dtype=np.int64)
         exponent = np.array([c[2] for c in cases], dtype=np.int64)
         vector_flags = ExceptionFlags()
-        bits = pack_many(sign, magnitude, exponent, mode, vector_flags)
+        bits = pack_many_fmt(sign, magnitude, exponent, FP16, mode,
+                             vector_flags)
         scalar_flags = ExceptionFlags()
         for i, (s, m, e) in enumerate(cases):
             assert int(bits[i]) == pack(s, m, e, mode, scalar_flags)
         assert vector_flags == scalar_flags
 
-    def test_as_u16_accepts_and_validates(self):
-        assert as_u16(np.array([1, 2], dtype=np.uint16)).dtype == np.uint16
-        assert list(as_u16([0, 0xFFFF])) == [0, 0xFFFF]
+    def test_as_bits_accepts_and_validates(self):
+        u16 = np.array([1, 2], dtype=np.uint16)
+        assert as_bits_many(u16, FP16).dtype == np.uint16
+        assert list(as_bits_many([0, 0xFFFF], FP16)) == [0, 0xFFFF]
         with pytest.raises(ValueError):
-            as_u16([-1])
+            as_bits_many([-1], FP16)
 
 
 class TestGuardedF64:
@@ -269,7 +268,7 @@ class TestGuardedF64:
         bits = rng.integers(0, 0x10000, (3, 4096)).astype(np.uint16)
         x64, w64, c64 = (bits[i].view(np.float16).astype(np.float64)
                          for i in range(3))
-        got = fma16_guarded_f64(x64, w64, c64).view(np.uint16)
+        got = f64_to_bits_many(fma_guarded_f64_fmt(x64, w64, c64, FP16), FP16)
         for i in range(bits.shape[1]):
             want = fma16(int(bits[0, i]), int(bits[1, i]), int(bits[2, i]))
             assert int(got[i]) == want
@@ -280,5 +279,27 @@ class TestGuardedF64:
         x = np.array([2.0 ** -24], dtype=np.float64)
         w = np.array([2.0 ** -14], dtype=np.float64)
         c = np.array([65504.0], dtype=np.float64)
-        got = int(fma16_guarded_f64(x, w, c).view(np.uint16)[0])
+        got = int(f64_to_bits_many(fma_guarded_f64_fmt(x, w, c, FP16), FP16)[0])
         assert got == fma16(0x0001, 0x0400, 0x7BFF)
+
+
+class TestNativeEncode:
+    def test_rne_encode_matches_scalar_at_every_rounding_boundary(self):
+        """The RNE encode takes numpy's native float16 cast; it must agree
+        with the scalar oracle on exact halfway points (ties to even), just
+        either side of them, across the subnormal/normal boundary, at the
+        overflow threshold and on NaNs of either sign."""
+        patterns = np.arange(0, 0x7C00, 7, dtype=np.uint16)
+        lower = patterns.view(np.float16).astype(np.float64)
+        upper = (patterns + 1).view(np.float16).astype(np.float64)
+        halfway = (lower + upper) / 2
+        values = np.concatenate([
+            lower, halfway, np.nextafter(halfway, 0.0),
+            np.nextafter(halfway, np.inf),
+            [65519.99, 65520.0, 1e6, 2.0 ** -25, 2.0 ** -26, np.inf,
+             np.nan, -np.nan],
+        ])
+        values = np.concatenate([values, -values])
+        got = f64_to_bits_many(values, FP16)
+        want = [FP16.float_to_bits(float(v)) for v in values]
+        assert got.tolist() == want

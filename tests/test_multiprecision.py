@@ -102,7 +102,7 @@ class TestEngineHangGuards:
 
     def test_shallow_z_queue_rejected_at_job_submission(self):
         config = RedMulEConfig(length=8, z_queue_depth=4)
-        engine = _engine_for(config, "fast")
+        engine = _engine_for(config, "exact-simd")
         job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=8, n=4, k=4)
         with pytest.raises(ValueError, match="live-row requirement"):
             engine.run_job(job)
@@ -113,7 +113,7 @@ class TestEngineHangGuards:
         assert engine.run_job(small).cycles > 0
 
     def test_element_width_mismatch_rejected(self):
-        engine = _engine_for(RedMulEConfig(format="fp8-e4m3"), "fast")
+        engine = _engine_for(RedMulEConfig(format="fp8-e4m3"), "exact-simd")
         fp16_job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=4, n=4, k=4)
         with pytest.raises(ValueError, match="element width"):
             engine.run_job(fp16_job)
@@ -124,17 +124,16 @@ class TestEngineBitExactness:
     @pytest.mark.parametrize("shape", [(5, 7, 9), (17, 9, 33), (8, 20, 40)])
     def test_scalar_and_simd_strategies_bit_identical(self, fmt, shape):
         m, n, k = shape
-        config_exact = RedMulEConfig(format=fmt, arithmetic="exact")
-        config_simd = RedMulEConfig(format=fmt, arithmetic="exact-simd")
-        res_a, img_a, _ = _run_shape(config_exact, "exact", m, n, k)
-        res_b, img_b, _ = _run_shape(config_simd, "exact-simd", m, n, k)
+        config = RedMulEConfig(format=fmt)
+        res_a, img_a, _ = _run_shape(config, "exact", m, n, k)
+        res_b, img_b, _ = _run_shape(config, "exact-simd", m, n, k)
         assert res_a.cycles == res_b.cycles
         assert img_a == img_b
 
     @pytest.mark.parametrize("fmt", NARROW_FORMATS)
     def test_engine_matches_the_generic_golden_model(self, fmt):
         m, n, k = 9, 6, 37
-        config = RedMulEConfig(format=fmt, arithmetic="exact-simd")
+        config = RedMulEConfig(format=fmt)
         _, image, (hx, hw, acc, tcdm) = _run_shape(
             config, "exact-simd", m, n, k, accumulate=True
         )
@@ -163,14 +162,14 @@ class TestEngineBitExactness:
 
     @pytest.mark.parametrize("fmt", NARROW_FORMATS)
     def test_farm_backend_validation_covers_narrow_formats(self, fmt):
-        farm = SimulationFarm(config=RedMulEConfig(format=fmt), exact=True)
+        farm = SimulationFarm(config=RedMulEConfig(format=fmt))
         reports = farm.validate_backends([(6, 9, 18)], accumulate=True)
         assert all(report.ok for report in reports)
 
     def test_fp8_throughput_beats_fp16_on_equal_geometry(self):
         m, n, k = 32, 32, 64
-        res16, _, _ = _run_shape(RedMulEConfig(), "fast", m, n, k)
-        res8, _, _ = _run_shape(RedMulEConfig(format="fp8-e4m3"), "fast",
+        res16, _, _ = _run_shape(RedMulEConfig(), "exact-simd", m, n, k)
+        res8, _, _ = _run_shape(RedMulEConfig(format="fp8-e4m3"), "exact-simd",
                                 m, n, k)
         assert res8.cycles < res16.cycles
         # Large-K jobs approach the full 2x elements-per-line advantage.
@@ -184,7 +183,7 @@ class TestPerfModelExactness:
         model = RedMulEPerfModel(config)
         for (m, n, k) in [(1, 1, 1), (8, 16, 16), (17, 9, 33), (16, 64, 80)]:
             for accumulate in (False, True):
-                result, _, _ = _run_shape(config, "fast", m, n, k, accumulate)
+                result, _, _ = _run_shape(config, "exact-simd", m, n, k, accumulate)
                 job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=m, n=n, k=k,
                                 accumulate=accumulate,
                                 element_bytes=config.element_bytes)
@@ -211,7 +210,7 @@ class TestPerfModelExactness:
                         element_bytes=config.element_bytes)
         model = RedMulEPerfModel(config)
         estimate = model.estimate(job)
-        result, _, _ = _run_shape(config, "fast", m, n, k, accumulate)
+        result, _, _ = _run_shape(config, "exact-simd", m, n, k, accumulate)
         if model.is_exact(job):
             assert estimate.cycles == result.cycles
         else:
@@ -222,8 +221,8 @@ class TestPerfModelExactness:
 class TestFarmFormatIdentity:
     def test_timing_keys_differ_per_format(self):
         job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=8, n=8, k=8)
-        key16 = TimingKey.for_job(RedMulEConfig(), job, True, "engine")
-        key8 = TimingKey.for_job(RedMulEConfig(format="fp8-e5m2"), job, True,
+        key16 = TimingKey.for_job(RedMulEConfig(), job, "engine")
+        key8 = TimingKey.for_job(RedMulEConfig(format="fp8-e5m2"), job,
                                  "engine")
         assert key16 != key8
 
@@ -235,17 +234,19 @@ class TestFarmFormatIdentity:
     def test_legacy_five_field_keys_decode_as_fp16(self):
         assert config_from_key((4, 8, 3, 1, 8)).format == "fp16"
 
-    def test_cache_schema_v4_decodes_legacy_and_rejects_v1(self, tmp_path):
+    def test_cache_schema_v5_decodes_legacy_and_rejects_v1(self, tmp_path):
         cache = TimingCache()
         path = tmp_path / "cache.json"
         cache.save(path)
         payload = json.loads(path.read_text())
-        assert payload["version"] == CACHE_FILE_VERSION == 4
-        # v2 (pre-format keys) and v3 (pre-trace payload) files still load;
-        # only the pre-format-semantics v1 layout is rejected.
-        payload["version"] = 3
-        path.write_text(json.dumps(payload))
-        assert cache.load(path) == 0
+        assert payload["version"] == CACHE_FILE_VERSION == 5
+        # v2 (pre-format keys), v3 (pre-trace payload) and v4 (keys with
+        # the exact flag) files still load; only the pre-format-semantics
+        # v1 layout is rejected.
+        for legacy in (2, 3, 4):
+            payload["version"] = legacy
+            path.write_text(json.dumps(payload))
+            assert cache.load(path) == 0
         payload["version"] = 1
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):

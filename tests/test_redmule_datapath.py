@@ -9,7 +9,7 @@ from repro.redmule.datapath import Datapath
 from repro.redmule.vector_ops import (
     ExactSimdVectorOps,
     ExactVectorOps,
-    FastVectorOps,
+    TraceVectorOps,
     make_vector_ops,
 )
 
@@ -20,39 +20,39 @@ def f2b(value: float) -> int:
 
 class TestVectorOps:
     @pytest.mark.parametrize(
-        "ops", [ExactVectorOps(), ExactSimdVectorOps(), FastVectorOps()],
-        ids=["exact", "exact-simd", "fast"])
+        "ops", [ExactVectorOps(), ExactSimdVectorOps(), TraceVectorOps()],
+        ids=["exact", "exact-simd", "trace"])
     def test_bits_roundtrip(self, ops):
         bits = [f2b(v) for v in (0.5, -1.25, 3.0, 0.0)]
         assert ops.to_bits(ops.from_bits(bits)) == bits
 
     @pytest.mark.parametrize(
-        "ops", [ExactVectorOps(), ExactSimdVectorOps(), FastVectorOps()],
-        ids=["exact", "exact-simd", "fast"])
+        "ops", [ExactVectorOps(), ExactSimdVectorOps(), TraceVectorOps()],
+        ids=["exact", "exact-simd", "trace"])
     def test_zeros(self, ops):
         assert ops.to_bits(ops.zeros(3)) == [POS_ZERO_BITS] * 3
 
     @pytest.mark.parametrize(
-        "ops", [ExactVectorOps(), ExactSimdVectorOps(), FastVectorOps()],
-        ids=["exact", "exact-simd", "fast"])
+        "ops", [ExactVectorOps(), ExactSimdVectorOps(), TraceVectorOps()],
+        ids=["exact", "exact-simd", "trace"])
     def test_gather(self, ops):
         lines = [ops.from_bits([f2b(float(r * 10 + c)) for c in range(4)])
                  for r in range(3)]
         column = ops.to_bits(ops.gather(lines, 2))
         assert [bits_to_float(b) for b in column] == [2.0, 12.0, 22.0]
 
-    def test_exact_and_fast_fma_agree(self):
+    def test_exact_and_trace_fma_agree(self):
         rng = np.random.default_rng(7)
-        exact, fast = ExactVectorOps(), FastVectorOps()
+        exact, trace = ExactVectorOps(), TraceVectorOps()
         for _ in range(50):
             x_bits = [f2b(v) for v in rng.standard_normal(8) * 0.5]
             acc_bits = [f2b(v) for v in rng.standard_normal(8) * 0.5]
             w = f2b(float(rng.standard_normal()) * 0.5)
             exact_result = exact.fma(exact.from_bits(x_bits), w,
                                      exact.from_bits(acc_bits))
-            fast_result = fast.to_bits(fast.fma(fast.from_bits(x_bits), w,
-                                                fast.from_bits(acc_bits)))
-            assert exact_result == fast_result
+            trace_result = trace.to_bits(trace.fma(trace.from_bits(x_bits), w,
+                                                   trace.from_bits(acc_bits)))
+            assert exact_result == trace_result
 
     def test_exact_simd_fma_is_bit_identical(self):
         rng = np.random.default_rng(11)
@@ -68,20 +68,19 @@ class TestVectorOps:
             assert simd_result == exact_result
 
     def test_factory(self):
-        # Legacy boolean selection keeps working next to the name registry.
-        assert isinstance(make_vector_ops(True), ExactVectorOps)
-        assert isinstance(make_vector_ops(False), FastVectorOps)
+        assert isinstance(make_vector_ops(), ExactSimdVectorOps)
         assert isinstance(make_vector_ops("exact"), ExactVectorOps)
         assert isinstance(make_vector_ops("exact-simd"), ExactSimdVectorOps)
-        assert isinstance(make_vector_ops("fast"), FastVectorOps)
-        with pytest.raises(ValueError):
-            make_vector_ops("nope")
+        # The boolean form is gone: a name is the only way to pick a backend.
+        for removed in ("fast", "nope", True, False):
+            with pytest.raises(ValueError):
+                make_vector_ops(removed)
 
 
 class TestDatapath:
     def test_issue_and_complete_after_latency(self):
         config = RedMulEConfig.reference()
-        dp = Datapath(config, exact=True)
+        dp = Datapath(config, make_vector_ops("exact"))
         ops = dp.ops
         x = ops.from_bits([f2b(2.0)] * config.length)
         acc = ops.zeros(config.length)
@@ -95,7 +94,7 @@ class TestDatapath:
 
     def test_one_issue_per_column_per_cycle(self):
         config = RedMulEConfig.reference()
-        dp = Datapath(config, exact=True)
+        dp = Datapath(config, make_vector_ops("exact"))
         x = dp.ops.zeros(config.length)
         dp.tick()
         dp.issue(1, 0, 0, x, POS_ZERO_BITS, dp.ops.zeros(config.length))
@@ -104,7 +103,7 @@ class TestDatapath:
 
     def test_pipeline_overflow_detection(self):
         config = RedMulEConfig(height=1, length=1, pipeline_regs=1)
-        dp = Datapath(config, exact=True)
+        dp = Datapath(config, make_vector_ops("exact"))
         zeros = dp.ops.zeros(1)
         for k in range(config.latency):
             dp.tick()
@@ -116,7 +115,7 @@ class TestDatapath:
 
     def test_busy_and_flush(self):
         config = RedMulEConfig.reference()
-        dp = Datapath(config, exact=False)
+        dp = Datapath(config)
         assert not dp.busy
         dp.tick()
         dp.issue(0, 0, 0, dp.ops.zeros(8), POS_ZERO_BITS, dp.ops.zeros(8))
@@ -126,7 +125,7 @@ class TestDatapath:
 
     def test_issue_counters(self):
         config = RedMulEConfig.reference()
-        dp = Datapath(config, exact=False)
+        dp = Datapath(config)
         for k in range(3):
             dp.tick()
             dp.issue(0, 0, k, dp.ops.zeros(8), POS_ZERO_BITS, dp.ops.zeros(8))
@@ -135,7 +134,7 @@ class TestDatapath:
 
     def test_column_bounds(self):
         config = RedMulEConfig.reference()
-        dp = Datapath(config, exact=False)
+        dp = Datapath(config)
         dp.tick()
         with pytest.raises(IndexError):
             dp.issue(config.height, 0, 0, dp.ops.zeros(8), 0, dp.ops.zeros(8))

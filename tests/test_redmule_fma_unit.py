@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.fp.formats import FP16
 from repro.fp.float16 import POS_ZERO_BITS, bits_to_float, float_to_bits
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.fma_unit import PipelinedFma
-from repro.redmule.functional import matmul_hw_order_exact
+from repro.redmule.functional import matmul_hw_order_exact_fmt
 from repro.redmule.row import FmaRow
 
 
@@ -90,7 +91,7 @@ class TestFmaRow:
     def _golden_row(self, x_row, w_block):
         x_bits = [[float_to_bits(v) for v in x_row]]
         w_bits = [[float_to_bits(v) for v in row] for row in w_block]
-        return matmul_hw_order_exact(x_bits, w_bits)[0]
+        return matmul_hw_order_exact_fmt(x_bits, w_bits, FP16)[0]
 
     def test_single_chunk(self):
         config = RedMulEConfig.reference()

@@ -6,6 +6,10 @@ tests pin the fixed behaviour (up-front validation, ``--list``) without
 running the heavyweight experiments themselves.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import runner
@@ -59,6 +63,33 @@ class TestListFlag:
                                 lambda name=name: executed.append(name))
         runner.main(["--list"])
         assert executed == []
+
+
+class TestBackendFlag:
+    def test_unknown_backend_exits_2_and_lists_the_valid_names(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            runner.main(["--backend", "fast", "fig3a"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fast'" in err
+        assert "'exact', 'exact-simd', 'trace'" in err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_without_runtime_warning(self):
+        """``repro.experiments`` must not import the runner eagerly, or
+        ``python -m repro.experiments.runner`` warns that the module was
+        already in ``sys.modules`` before it was executed."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.experiments.runner", "--list"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stdout.split() == runner.list_experiments()
 
 
 class TestFarmStats:

@@ -16,7 +16,9 @@ from repro.farm import (
     DEFAULT_ENGINE_MACS_THRESHOLD,
     BackendValidationReport,
     SimulationFarm,
+    default_farm,
 )
+from repro.fp.formats import FP16
 from repro.fp.vector import matrix_to_bits, quantize_fp16, random_fp16_matrix
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
@@ -24,12 +26,13 @@ from repro.mem.tcdm import Tcdm, TcdmConfig
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.functional import (
-    matmul_hw_order_exact,
-    matmul_hw_order_simd,
-    matmul_hw_order_simd_bits,
+    matmul_hw_order_exact_fmt,
+    matmul_hw_order_simd_fmt,
 )
 from repro.redmule.job import MatmulJob
 from repro.redmule.vector_ops import (
+    DEFAULT_BACKEND,
+    VECTOR_OPS_BACKENDS,
     ExactSimdVectorOps,
     ExactVectorOps,
     make_vector_ops,
@@ -118,37 +121,36 @@ class TestGoldenModelEquivalence:
         rng = np.random.default_rng(0)
         x = quantize_fp16(rng.standard_normal((12, 37)) * 0.3)
         w = quantize_fp16(rng.standard_normal((37, 9)) * 0.3)
-        assert (matmul_hw_order_simd_bits(matrix_to_bits(x), matrix_to_bits(w))
-                == matmul_hw_order_exact(matrix_to_bits(x), matrix_to_bits(w)))
+        assert (matrix_to_bits(matmul_hw_order_simd_fmt(x, w, FP16))
+                == matmul_hw_order_exact_fmt(matrix_to_bits(x),
+                                             matrix_to_bits(w), FP16))
 
     def test_simd_matmul_with_accumulator(self):
         rng = np.random.default_rng(1)
         x = quantize_fp16(rng.standard_normal((5, 16)) * 0.3)
         w = quantize_fp16(rng.standard_normal((16, 7)) * 0.3)
         acc = quantize_fp16(rng.standard_normal((5, 7)))
-        want = matmul_hw_order_exact(
-            matrix_to_bits(x), matrix_to_bits(w), matrix_to_bits(acc)
+        want = matmul_hw_order_exact_fmt(
+            matrix_to_bits(x), matrix_to_bits(w), FP16, matrix_to_bits(acc)
         )
-        got = matmul_hw_order_simd_bits(
-            matrix_to_bits(x), matrix_to_bits(w), matrix_to_bits(acc)
-        )
+        got = matrix_to_bits(matmul_hw_order_simd_fmt(x, w, FP16, acc=acc))
         assert got == want
 
     def test_simd_matmul_shape_checks(self):
         with pytest.raises(ValueError):
-            matmul_hw_order_simd(np.zeros((2, 3)), np.zeros((4, 2)))
+            matmul_hw_order_simd_fmt(np.zeros((2, 3)), np.zeros((4, 2)), FP16)
         with pytest.raises(ValueError):
-            matmul_hw_order_simd(np.zeros((2, 3)), np.zeros((3, 2)),
-                                 acc=np.zeros((3, 3)))
+            matmul_hw_order_simd_fmt(np.zeros((2, 3)), np.zeros((3, 2)), FP16,
+                                     acc=np.zeros((3, 3)))
 
 
 class TestVectorOpsLevel:
     def test_registry(self):
         assert isinstance(make_vector_ops("exact"), ExactVectorOps)
         assert isinstance(make_vector_ops("exact-simd"), ExactSimdVectorOps)
-        assert make_vector_ops("fast").name == "fast"
-        with pytest.raises(ValueError):
-            make_vector_ops("bogus")
+        for name in ("fast", "bogus"):
+            with pytest.raises(ValueError):
+                make_vector_ops(name)
 
     def test_lazy_chain_matches_scalar_chain(self):
         rng = np.random.default_rng(2)
@@ -182,26 +184,38 @@ class TestVectorOpsLevel:
 
 
 class TestBackendSelection:
-    def test_cluster_respects_config_arithmetic(self):
+    def test_cluster_arithmetic_selection(self):
         from repro.cluster import PulpCluster
-        from repro.cluster.config import ClusterConfig
 
-        config = ClusterConfig(redmule=RedMulEConfig(arithmetic="exact-simd"))
-        assert PulpCluster(config).redmule.backend == "exact-simd"
+        assert PulpCluster().redmule.backend == DEFAULT_BACKEND
         assert PulpCluster(arithmetic="exact").redmule.backend == "exact"
-        assert PulpCluster(exact_arithmetic=True).redmule.backend == "exact"
-        assert PulpCluster().redmule.backend == "fast"
+        with pytest.raises(TypeError):
+            PulpCluster(exact_arithmetic=True)
 
-    def test_engine_backend_resolution_order(self):
-        config = RedMulEConfig(arithmetic="exact-simd")
-        assert RedMulE(config).backend == "exact-simd"
-        assert RedMulE(config, exact=False).backend == "fast"
-        assert RedMulE(config, backend="exact").backend == "exact"
+    def test_engine_backend_selection(self):
+        assert RedMulE().backend == DEFAULT_BACKEND == "exact-simd"
+        assert RedMulE(backend="exact").backend == "exact"
+        with pytest.raises(TypeError):
+            RedMulE(exact=True)
+        with pytest.raises(ValueError):
+            RedMulE(backend="fast")
+
+    def test_every_default_runs_a_bit_exact_backend(self):
+        """Engines, clusters and farms built without an arithmetic choice
+        all simulate with a bit-exact backend."""
+        from repro.cluster import PulpCluster
+
+        bit_exact = ("exact", "exact-simd", "trace")
+        assert VECTOR_OPS_BACKENDS == bit_exact
+        assert RedMulE().backend in bit_exact
+        assert PulpCluster().redmule.backend in bit_exact
+        for farm in (default_farm(), SimulationFarm(backend="engine")):
+            assert farm.arithmetic in bit_exact
 
 
 class TestFarmBackendValidation:
     def test_validate_backends_passes_on_equivalent_backends(self):
-        farm = SimulationFarm(exact=True)
+        farm = SimulationFarm()
         reports = farm.validate_backends([(8, 16, 16), (13, 7, 5)])
         assert all(isinstance(r, BackendValidationReport) and r.ok
                    for r in reports)
@@ -209,10 +223,9 @@ class TestFarmBackendValidation:
         assert farm.stats.validations == 0  # timing cross-checks untouched
 
     def test_validate_backends_detects_divergence(self):
-        farm = SimulationFarm(exact=True)
-        # The float64 fast path is *not* bit-exact in general; a shape whose
-        # data hits a double-rounding case is not guaranteed, so assert on
-        # the report plumbing instead: identical backends always match.
+        farm = SimulationFarm()
+        # Every registered backend is bit-exact, so assert on the report
+        # plumbing instead: identical backends always match.
         reports = farm.validate_backends([(8, 16, 16)], reference="exact",
                                          candidate="exact")
         assert reports[0].ok
@@ -220,18 +233,17 @@ class TestFarmBackendValidation:
             farm.validate_backends([(8, 16, 16)], candidate="bogus")
 
     def test_farm_exact_runs_use_simd_arithmetic_by_default(self):
-        farm = SimulationFarm(exact=True)
-        assert farm.arithmetic == "exact-simd"
-        assert farm.exact
-        fast_farm = SimulationFarm()
-        assert fast_farm.arithmetic == "fast"
-        oracle_farm = SimulationFarm(arithmetic="exact")
-        assert oracle_farm.exact
+        assert SimulationFarm().arithmetic == "exact-simd"
+        assert SimulationFarm(arithmetic="exact").arithmetic == "exact"
+        with pytest.raises(TypeError):
+            SimulationFarm(exact=True)
+        with pytest.raises(ValueError):
+            SimulationFarm(arithmetic="fast")
 
     def test_farm_timing_identical_across_arithmetic_backends(self):
         shapes = [(8, 16, 16), (16, 16, 16)]
         records = {}
-        for arithmetic in ("exact", "exact-simd", "fast"):
+        for arithmetic in ("exact", "exact-simd", "trace"):
             farm = SimulationFarm(arithmetic=arithmetic, max_workers=1)
             records[arithmetic] = [
                 (r.cycles, r.stall_cycles, r.total_macs, r.n_tiles)
@@ -239,7 +251,7 @@ class TestFarmBackendValidation:
                     [_Shape(*s) for s in shapes], backend="engine"
                 )
             ]
-        assert records["exact"] == records["exact-simd"] == records["fast"]
+        assert records["exact"] == records["exact-simd"] == records["trace"]
 
 
 class _Shape:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.fp.vector import random_fp16_matrix
-from repro.redmule.functional import matmul_hw_order_fast, matmul_hw_order_simd
+from repro.fp.formats import FP16
+from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.redmule.perf_model import RedMulEPerfModel
 from repro.sw.baseline import SoftwareBaseline
 from repro.sw.kernel import KernelCostModel, KernelParameters
@@ -79,9 +80,8 @@ class TestSoftwareBaseline:
         baseline = SoftwareBaseline()
         x = random_fp16_matrix(8, 32, scale=0.3, seed=0)
         w = random_fp16_matrix(32, 8, scale=0.3, seed=1)
-        assert np.array_equal(baseline.compute(x, w), matmul_hw_order_simd(x, w))
-        # The float64 fast model agrees on this data too (no double rounding).
-        assert np.array_equal(baseline.compute(x, w), matmul_hw_order_fast(x, w))
+        assert np.array_equal(baseline.compute(x, w),
+                              matmul_hw_order_simd_fmt(x, w, FP16))
 
     def test_core_count_parameter(self):
         slow = SoftwareBaseline(n_cores=2).run_gemm(64, 64, 64)
