@@ -7,9 +7,9 @@ against area and energy.  This package turns that argument into a tool:
 * :mod:`repro.dse.space` -- declarative axis grids over the architecture
   (H, L, P, W prefetch, Z queue) and its environment (TCDM banks, memory
   latency);
-* :mod:`repro.dse.sweep` -- the driver: thousands of (configuration x
-  workload graph) points per second through the farm's ``analytic`` backend,
-  joined with the area/energy models into one record per point;
+* :mod:`repro.dse.sweep` -- the driver: (configuration x workload graph)
+  points at a few milliseconds each through the farm's ``analytic``
+  backend, joined with the area/energy models into one record per point;
 * :mod:`repro.dse.pareto` -- non-dominated frontier extraction over any
   objective combination;
 * :mod:`repro.dse.validate` -- cycle-accurate cross-validation of sampled

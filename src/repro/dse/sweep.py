@@ -308,9 +308,10 @@ def sweep(
     ``workload`` is a :class:`~repro.graph.ir.WorkloadGraph`, a model-zoo
     name, or a flat sequence of :class:`~repro.workloads.gemm.GemmShape`
     (treated as independent GEMMs).  All timing flows through one shared
-    analytic farm cache; the closed form makes thousand-point sweeps a
-    matter of seconds where the cycle-accurate engine would need hours
-    (``benchmarks/bench_dse_frontier.py`` pins the >= 50x gap).
+    analytic farm cache.  The closed form's cost per job does not depend on
+    its tile count (see :mod:`repro.redmule.perf_model`), so a thousand-point
+    sweep is a matter of seconds where the cycle-accurate engine would need
+    hours (``benchmarks/bench_dse_frontier.py`` pins the >= 50x gap).
     """
     if offload_cycles_per_job < 0:
         raise ValueError("offload_cycles_per_job must be >= 0")

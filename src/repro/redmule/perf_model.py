@@ -19,6 +19,14 @@ same execution structure:
 * after the last tile the remaining Z lines trickle out at one line per
   cycle.
 
+A tile's cost depends only on its number of valid rows, and a job's tiles
+fall into at most two *row blocks* (:meth:`TileSchedule.row_blocks
+<repro.redmule.scheduler.TileSchedule.row_blocks>`): the full-height tiles
+(``L`` rows) and the last tile row (``M - (ceil(M/L) - 1) * L`` rows).  The
+estimate and the exactness check are therefore arithmetic over those blocks:
+their cost is O(H) (the initial-W-line count walks the array columns) and
+does not depend on the number of tiles.
+
 On the *uncontended* domain -- where the wide port has enough spare slots per
 ``block_k``-cycle chunk window to serve the mid-tile W and X refills (see
 :meth:`RedMulEPerfModel.is_exact`) -- the estimate is **bit-exact**: it equals
@@ -31,7 +39,8 @@ DSE cross-validation pass quantify the gap.
 The optional ``memory_latency`` parameter extends the model beyond the
 paper's single-cycle TCDM: each tile's pre-load pays the extra access latency
 once (subsequent accesses pipeline behind it).  It defaults to 0, which is
-the configuration the exactness guarantee applies to.
+the configuration the exactness guarantee applies to: ``is_exact`` is
+``False`` on every job of a model with a non-zero latency.
 """
 
 from __future__ import annotations
@@ -165,24 +174,51 @@ class RedMulEPerfModel:
         self.memory_latency = memory_latency
 
     # ------------------------------------------------------------------
-    def _initial_w_lines(self, n_chunks: int, n: int) -> int:
+    def _initial_w_lines(self, n: int) -> int:
         """W lines enqueued before the first issue of a tile.
 
-        These are the lines whose first broadcast falls within the first
-        ``block_k`` cycles of the tile (the streamer's prefetch horizon), and
-        whose inner index lies inside the real matrix (padding rows are not
-        fetched).
+        These are the lines whose first broadcast falls within the
+        streamer's prefetch horizon (``w_prefetch_lines * block_k`` cycles
+        into the tile), and whose inner index lies inside the real matrix
+        (padding rows are not fetched).  Column ``col`` first needs chunk
+        ``c``'s line at cycle ``col * (P+1) + c * block_k``; it holds real
+        data for ``ceil((n - col) / H)`` chunks.
         """
         cfg = self.config
+        horizon = cfg.block_k * cfg.w_prefetch_lines
         count = 0
-        for chunk in range(n_chunks):
-            for col in range(cfg.height):
-                need = col * cfg.latency + chunk * cfg.block_k
-                if need > cfg.block_k * cfg.w_prefetch_lines:
-                    continue
-                if chunk * cfg.height + col < n:
-                    count += 1
+        # col * (P+1) < block_k <= horizon, so every counted column has at
+        # least one chunk inside the horizon and one inside the matrix.
+        for col in range(min(cfg.height, n)):
+            in_horizon = (horizon - col * cfg.latency) // cfg.block_k + 1
+            in_matrix = -(-(n - col) // cfg.height)
+            count += min(in_horizon, in_matrix)
         return count
+
+    def _tile_cycles(self, job: MatmulJob,
+                     schedule: TileSchedule) -> Tuple[int, int]:
+        """``(fixed, per_row)``: a tile of ``rows`` valid rows takes
+        ``fixed + per_row * rows`` cycles on a single-cycle memory.
+
+        Stall cycles before the first issue: the wide port serves the
+        initial W lines (higher priority), the Z pre-load lines of an
+        accumulation job, and the first X block (one line per valid row),
+        one access per cycle; the first issue happens on the cycle the last
+        of those lands.  The tile then issues for
+        ``(H-1)*(P+1) + n_chunks*block_k`` cycles and drains its last column
+        for ``P+1``.  A non-accumulating tile pays one boundary cycle
+        handing its first Z row to the store path; an accumulating tile
+        hides it behind the Y pre-load (measured against the engine, see the
+        module docstring).
+        """
+        cfg = self.config
+        issue_cycles = ((cfg.height - 1) * cfg.latency
+                        + schedule.n_chunks * cfg.block_k)
+        boundary = 0 if job.accumulate else 1
+        fixed = (self._initial_w_lines(job.n) - 1 + issue_cycles
+                 + cfg.latency + boundary)
+        per_row = 2 if job.accumulate else 1  # X block line (+ Y line)
+        return fixed, per_row
 
     def is_exact(self, job: MatmulJob) -> bool:
         """True when the closed form provably equals the engine on ``job``.
@@ -201,76 +237,56 @@ class RedMulEPerfModel:
           backlog, the leftover lines lengthen the final drain, and the
           estimate undercounts (a corner first caught by the
           multi-precision property tests: tiny tiles after full-height
-          ones).
+          ones).  Only consecutive row heights matter, so the check runs
+          over the (at most three) distinct pairs of
+          :meth:`TileSchedule.row_blocks`, never over the tiles.
 
-        ``P = 0`` (single-cycle FMAs) is excluded: the engine's X prefetch
-        outruns its buffer there, so no ground truth exists to match.
+        A model with ``memory_latency > 0`` is never exact: the engine has
+        no slow-memory counterpart to equal.
         """
-        cfg = self.config
-        if cfg.pipeline_regs < 1:
+        if self.memory_latency > 0:
             return False
+        cfg = self.config
         schedule = TileSchedule(job, cfg)
-        rows = min(job.m, cfg.length)
         w_demand = min(cfg.height, job.n)
-        x_demand = rows if schedule.n_blocks > 1 else 0
+        x_demand = min(job.m, cfg.length) if schedule.n_blocks > 1 else 0
         if w_demand + x_demand > cfg.block_k:
             return False
 
         # Z-backlog condition: every non-first tile needs enough spare
         # slots (duration minus every access it performs itself) to drain
-        # the previous tile's queued rows before its own compute ends.
-        n_chunks = schedule.n_chunks
-        issue_cycles = (cfg.height - 1) * cfg.latency + n_chunks * cfg.block_k
-        w_initial = self._initial_w_lines(n_chunks, job.n)
-        boundary = 0 if job.accumulate else 1
-        w_total = sum(
-            1
-            for chunk in range(n_chunks)
-            for col in range(cfg.height)
-            if chunk * cfg.height + col < job.n
-        )
+        # the previous tile's queued rows before its own compute ends.  A
+        # tile performs one access per real W line (``job.n`` of them), one
+        # per X line of every block and, when accumulating, one per Y line.
+        fixed, per_row = self._tile_cycles(job, schedule)
         previous_rows = None
-        for tile in schedule:
-            y_lines = tile.rows if job.accumulate else 0
-            accesses = w_total + tile.rows * schedule.n_blocks + y_lines
-            preload = max(w_initial + y_lines + tile.rows - 1, 0)
-            duration = preload + issue_cycles + cfg.latency + boundary
-            if (previous_rows is not None
-                    and duration - accesses < previous_rows):
+        for rows, count in schedule.row_blocks():
+            y_lines = rows if job.accumulate else 0
+            accesses = job.n + rows * schedule.n_blocks + y_lines
+            spare = fixed + per_row * rows - accesses
+            # The run's first tile follows the previous run's last tile;
+            # each later one follows a tile of its own height.
+            if previous_rows is not None and spare < previous_rows:
                 return False
-            previous_rows = tile.rows
+            if count > 1 and spare < rows:
+                return False
+            previous_rows = rows
         return True
 
     def estimate(self, job: MatmulJob) -> PerfEstimate:
         """Estimate the cycle count of ``job`` on this configuration."""
         cfg = self.config
         schedule = TileSchedule(job, cfg)
-        n_chunks = schedule.n_chunks
-        issue_cycles = (cfg.height - 1) * cfg.latency + n_chunks * cfg.block_k
-        w_initial = self._initial_w_lines(n_chunks, job.n)
-        # A non-accumulating tile pays one boundary cycle handing its first
-        # Z row to the store path; an accumulating tile hides it behind the
-        # Y pre-load (measured against the engine, see the module docstring).
-        boundary = 0 if job.accumulate else 1
-
-        total = 0
-        for tile in schedule:
-            # Stall cycles before the first issue: the wide port serves the
-            # initial W lines (higher priority), the Z pre-load lines of an
-            # accumulation job, and the first X block, one access per cycle;
-            # the first issue happens on the cycle the last of those lands.
-            # With a slow memory the first access additionally waits out the
-            # extra latency before the pipelined stream starts.
-            x0_lines = tile.rows if job.n > 0 else 0
-            y_lines = tile.rows if job.accumulate else 0
-            preload_stalls = max(w_initial + y_lines + x0_lines - 1, 0)
-            preload_stalls += self.memory_latency
-            total += preload_stalls + issue_cycles + cfg.latency + boundary
+        fixed, per_row = self._tile_cycles(job, schedule)
+        # With a slow memory each tile's first access additionally waits out
+        # the extra latency before the pipelined stream starts.
+        fixed += self.memory_latency
+        blocks = schedule.row_blocks()
+        total = sum(count * (fixed + per_row * rows) for rows, count in blocks)
 
         # Final Z drain: the last tile's lines leave the Z queue at one line
         # per cycle (queue -> streamer -> memory) once compute has finished.
-        last_tile = schedule.tile(schedule.n_tiles - 1)
-        total += last_tile.rows
+        total += blocks[-1][0]
 
         ideal = -(-job.total_macs // cfg.ideal_macs_per_cycle)
         return PerfEstimate(

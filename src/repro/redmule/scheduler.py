@@ -12,7 +12,7 @@ array (padding lanes compute on zeros, exactly like the real hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
@@ -67,6 +67,25 @@ class TileSchedule:
         """X blocks per tile: line-sized groups of the inner dimension."""
         return -(-self.n_chunks * self.config.height
                  // self.config.elements_per_line)
+
+    def row_blocks(self) -> Tuple[Tuple[int, int], ...]:
+        """Tile row counts as runs in tile order: ``((rows, count), ...)``.
+
+        Every tile row of the grid but the last is ``L`` high; the last
+        holds the remaining ``M - (tiles_m - 1) * L`` rows.  So the
+        ``(tiles_m - 1) * tiles_k`` full-height tiles come first, then
+        ``tiles_k`` tiles of the last height.  Runs of equal height are
+        merged, so there are one or two entries and the counts sum to
+        :attr:`n_tiles`.
+        """
+        length = self.config.length
+        last = self.job.m - (self.tiles_m - 1) * length
+        n_full = (self.tiles_m - 1) * self.tiles_k
+        if last == length:
+            return ((length, self.n_tiles),)
+        if n_full == 0:
+            return ((last, self.tiles_k),)
+        return ((length, n_full), (last, self.tiles_k))
 
     # -- iteration --------------------------------------------------------------
     def tile(self, index: int) -> Tile:

@@ -86,3 +86,15 @@ class TestModelBehaviour:
         model = RedMulEPerfModel()
         job = MatmulJob(x_addr=0, w_addr=0x1000, z_addr=0x2000, m=16, n=16, k=16)
         assert model.estimate(job).cycles == model.estimate_gemm(16, 16, 16).cycles
+
+    def test_slow_memory_is_never_exact(self):
+        """The engine has no memory-latency counterpart, so a model that
+        charges one cannot equal it; ``is_exact`` must say so."""
+        job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=16, n=16, k=16)
+        config = RedMulEConfig.reference()
+        assert RedMulEPerfModel(config).is_exact(job)
+        slow = RedMulEPerfModel(config, memory_latency=7)
+        assert not slow.is_exact(job)
+        n_tiles = slow.estimate(job).n_tiles
+        assert (slow.estimate(job).cycles
+                == RedMulEPerfModel(config).estimate(job).cycles + 7 * n_tiles)

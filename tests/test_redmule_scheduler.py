@@ -1,5 +1,8 @@
 """Tests for the tiling scheduler."""
 
+from collections import Counter
+from itertools import groupby
+
 import pytest
 
 from repro.redmule.config import RedMulEConfig
@@ -56,6 +59,38 @@ class TestTileGrid:
         schedule = make_schedule(8, 20, 16)
         assert schedule.n_chunks == 5
         assert schedule.n_blocks == 2
+
+
+
+class TestRowBlocks:
+    """``row_blocks`` is the tile grid's row heights in closed form."""
+
+    @pytest.mark.parametrize("m,k", [
+        (1, 1),      # single tile
+        (8, 16),     # single tile, exact in M and K
+        (5, 3),      # single tile, M < L and K < elements_per_line
+        (13, 20),    # ragged M and K
+        (16, 32),    # exact M and K
+        (13, 32),    # ragged M, exact K
+        (16, 20),    # exact M, ragged K
+        (3, 100),    # one ragged tile row, many tiles
+        (64, 5),     # one tile column, all full height
+        (65, 5),     # one tile column, one-row last tile
+    ])
+    def test_matches_tile_rows(self, m, k):
+        schedule = make_schedule(m, 8, k)
+        rows = [tile.rows for tile in schedule.tiles()]
+        blocks = schedule.row_blocks()
+        assert Counter(dict(blocks)) == Counter(rows)
+        # The blocks are the runs of equal height, in tile order.
+        assert list(blocks) == [(height, len(list(run)))
+                                for height, run in groupby(rows)]
+        assert sum(count for _, count in blocks) == schedule.n_tiles
+
+    def test_non_reference_geometry(self):
+        config = RedMulEConfig(height=2, length=4, pipeline_regs=1)
+        schedule = make_schedule(9, 5, 9, config)
+        assert schedule.row_blocks() == ((4, 6), (1, 3))
 
 
 class TestAccounting:
