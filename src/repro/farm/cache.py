@@ -268,6 +268,12 @@ class TimingCache:
         routinely point into per-run artifact directories that do not exist
         yet, and losing a batch of simulations to ``FileNotFoundError`` at
         save time would be the most expensive possible way to learn that.
+
+        The write is atomic: the payload goes to a temporary file in the
+        same directory, which then replaces ``path``.  A save that fails
+        part-way (or a process killed mid-write) leaves the previous file
+        intact, so concurrent readers of a shared cache directory never
+        see a truncated file.
         """
         parent = os.path.dirname(os.path.abspath(os.fspath(path)))
         os.makedirs(parent, exist_ok=True)
@@ -278,8 +284,15 @@ class TimingCache:
         payload = {"version": CACHE_FILE_VERSION, "entries": entries}
         if self.traces:
             payload["traces"] = self.traces
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+        tmp_path = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp_path, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
         return len(entries)
 
     def load(self, path: Union[str, os.PathLike], merge: bool = True) -> int:

@@ -70,6 +70,7 @@ from repro.fp.simd_formats import (
     mul_many_fmt,
     neg_many_fmt,
     pack_many_fmt,
+    round_f64_many,
 )
 from repro.fp.arith import BitExactFormat, BitExactFp16, Fp16Arithmetic
 from repro.fp.vector import (
@@ -117,6 +118,7 @@ __all__ = [
     "pack_matrix",
     "quantize",
     "random_matrix",
+    "round_f64_many",
     "sub_bits",
     "unpack_matrix",
     "EXP_BITS",

@@ -34,12 +34,16 @@ Implementation notes
   half-comparison makes the same decision as the unclamped one.
 * Special operand classes flow through the integer path as bounded garbage
   and are overwritten by masked selects in scalar-priority order.
-* Binary16 is the one format numpy can round to natively: its
-  ``float64 -> float16`` cast is a single correctly rounded RNE step.  The
-  RNE encode of :func:`f64_to_bits_many` and the hot path of
-  :func:`fma_guarded_f64_fmt` use that cast for binary16 instead of the
-  generic integer pack, which is an order of magnitude slower; every other
-  path is format-generic.
+* Rounding a ``float64`` value to a format's *value* (not its pattern) has
+  its own primitive, :func:`round_f64_many`, which never goes through bit
+  patterns.  Binary16 is the one format numpy can round to natively: its
+  ``float64 -> float16`` cast is a single correctly rounded RNE step, used
+  by :func:`round_f64_many` and by the RNE encode of
+  :func:`f64_to_bits_many`.  Every other format rounds with an RNE
+  increment-and-mask on the ``uint64`` view of the float64 value (normal
+  range) and a magic-constant add (subnormal range); both are several
+  times faster than the generic integer pack.  The hot path of
+  :func:`fma_guarded_f64_fmt` rounds the same way.
 """
 
 from __future__ import annotations
@@ -110,6 +114,73 @@ def bits_to_f64_many(bits, fmt: BinaryFormat) -> np.ndarray:
         _DECODE_TABLES[fmt.name] = table
     u = as_bits_many(bits, fmt)
     return table[u.astype(np.int64)]
+
+
+#: Per-format constants of :func:`_round_f64_generic`.
+_ROUND_CONSTANTS: Dict[str, tuple] = {}
+
+
+def _round_constants(fmt: BinaryFormat) -> tuple:
+    constants = _ROUND_CONSTANTS.get(fmt.name)
+    if constants is None:
+        shift = 52 - fmt.man_bits
+        constants = (
+            np.uint64(shift),
+            np.uint64((1 << (shift - 1)) - 1),  # half an ulp, minus one
+            np.uint64((1 << 64) - (1 << shift)),  # clears the dropped bits
+            2.0 ** fmt.emin,
+            2.0 ** (fmt.subnormal_exp + 52),
+            fmt.max_finite_value,
+        )
+        _ROUND_CONSTANTS[fmt.name] = constants
+    return constants
+
+
+def _round_f64_generic(values: np.ndarray, fmt: BinaryFormat) -> np.ndarray:
+    """Format-generic body of :func:`round_f64_many` (no native cast)."""
+    shift, half, keep_mask, tiny, magic, max_finite = _round_constants(fmt)
+    magnitude = np.abs(values)
+    raw = magnitude.view(np.uint64)
+    # Normal range: round the 52-bit float64 mantissa to ``man_bits`` with
+    # ties to even; a carry out of the mantissa bumps the exponent field,
+    # which is exactly the rounded value's binade change.
+    rounded = raw >> shift
+    rounded &= np.uint64(1)
+    rounded += half
+    rounded += raw
+    rounded &= keep_mask
+    out = rounded.view(np.float64)
+    # ``~(x >= tiny)`` also catches NaN, whose mantissa increment may carry
+    # into the sign bit: the magic add keeps it a NaN.
+    small = ~(magnitude >= tiny)
+    if small.any():
+        # Subnormal range: adding ``magic`` puts the format's subnormal
+        # quantum at the float64 ulp, so the add itself is the one RNE
+        # rounding and the subtraction is exact.  (A signalling NaN input
+        # raises the invalid flag here; it comes out a quiet NaN.)
+        with np.errstate(invalid="ignore"):
+            subnormal = magnitude + magic
+        subnormal -= magic
+        np.copyto(out, subnormal, where=small)
+    out[out > max_finite] = np.inf
+    return np.copysign(out, values, out=out)
+
+
+def round_f64_many(values, fmt: BinaryFormat) -> np.ndarray:
+    """Round a ``float64`` array to the nearest ``fmt`` values (RNE).
+
+    Returns ``float64`` values exactly representable in ``fmt``; NaN stays
+    NaN, the sign of zero is kept and overflow past the largest finite
+    value gives infinity.  Equal to decoding :func:`f64_to_bits_many` of
+    the same values, without going through bit patterns.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim == 0:
+        return round_f64_many(values.reshape(1), fmt)[0]
+    if _is_binary16(fmt):
+        with np.errstate(over="ignore"):
+            return values.astype(np.float16).astype(np.float64)
+    return _round_f64_generic(values, fmt)
 
 
 def f64_to_bits_many(
@@ -565,9 +636,9 @@ def fma_guarded_f64_fmt(
     conversion to ``fmt`` would double-round); error == 0 proves the float64
     sum is the exact result, subnormals and overflow included.  Those lanes
     -- rare for realistic data -- plus NaNs, whose error term is NaN, are
-    recomputed through the integer kernel :func:`fma_many_fmt`.  Binary16
-    rounds with numpy's native ``float16`` cast, every other format with
-    the generic pack.
+    recomputed through the integer kernel :func:`fma_many_fmt`.  The
+    rounding itself is :func:`round_f64_many`, with its native ``float16``
+    cast for binary16 inlined (the sum is already under ``errstate``).
 
     Inputs must broadcast against each other; returns a ``float64`` array
     of exactly representable ``fmt`` values.
@@ -580,7 +651,7 @@ def fma_guarded_f64_fmt(
         if _is_binary16(fmt):
             rounded = total.astype(np.float16).astype(np.float64)
         else:
-            rounded = bits_to_f64_many(f64_to_bits_many(total, fmt), fmt)
+            rounded = round_f64_many(total, fmt)
         double_rounding_risk = error != 0
     if double_rounding_risk.any():
         lanes = np.nonzero(double_rounding_risk)

@@ -16,7 +16,12 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.fp.formats import FP16, BinaryFormat, get_format
-from repro.fp.simd_formats import bits_to_f64_many, f64_to_bits_many, format_dtype
+from repro.fp.simd_formats import (
+    bits_to_f64_many,
+    f64_to_bits_many,
+    format_dtype,
+    round_f64_many,
+)
 
 FormatLike = Union[str, BinaryFormat]
 
@@ -28,9 +33,7 @@ def quantize(matrix: np.ndarray, fmt: FormatLike = FP16) -> np.ndarray:
     which makes it a convenient "already quantised" operand for both the
     hardware model and numpy-based golden references.
     """
-    fmt = get_format(fmt)
-    values = np.asarray(matrix, dtype=np.float64)
-    return bits_to_f64_many(f64_to_bits_many(values, fmt), fmt)
+    return round_f64_many(matrix, get_format(fmt))
 
 
 def quantize_fp16(matrix: np.ndarray) -> np.ndarray:

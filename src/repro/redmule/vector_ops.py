@@ -237,16 +237,11 @@ class ExactSimdVectorOps(VectorOps):
     def fma(self, x_vector, w_slot, acc_vector) -> _PendingFma:
         if isinstance(x_vector, _PendingFma):
             x_vector = self._materialise(x_vector)
-        if self.lanes == 1:
-            if isinstance(w_slot, (int, np.integer)):
-                w_slot = self.fmt.bits_to_float(int(w_slot))
-            x = x_vector
-            w = w_slot
-        else:
-            x = np.repeat(np.asarray(x_vector, dtype=np.float64), self.lanes)
-            w = np.tile(np.asarray(w_slot, dtype=np.float64),
-                        len(x_vector))
-        return _PendingFma(x, w, acc_vector)
+        if isinstance(w_slot, (int, np.integer)):
+            w_slot = self.fmt.bits_to_float(int(w_slot))
+        # The raw (L,) X vector and the scalar or (lanes,) W slot are kept
+        # as given and broadcast against each other in :meth:`_force`.
+        return _PendingFma(x_vector, w_slot, acc_vector)
 
     def gather(self, lines: Sequence, offset: int) -> np.ndarray:
         return np.array([self._materialise(line)[offset] for line in lines],
@@ -320,19 +315,24 @@ class ExactSimdVectorOps(VectorOps):
                     levels.append([])
                 levels[depth].append(pending)
 
-        scalar_w = self.lanes == 1
+        lanes = self.lanes
         for level in levels:
-            x = np.stack([node.x for node in level])
-            if scalar_w:
-                w = np.array([node.w for node in level],
-                             dtype=np.float64)[:, None]
-            else:
-                w = np.stack([node.w for node in level])
-            acc = np.stack([
+            n = len(level)
+            # np.array, not np.stack: several times cheaper on a list of
+            # short equal-length vectors, and this runs once per level.
+            x = np.array([node.x for node in level], dtype=np.float64)
+            w = np.array([node.w for node in level],
+                         dtype=np.float64).reshape(n, lanes)
+            acc = np.array([
                 node.acc.values if isinstance(node.acc, _PendingFma) else node.acc
                 for node in level
-            ])
-            values = fma_guarded_f64_fmt(x, w, acc, self.fmt)
+            ], dtype=np.float64)
+            # (node, row, lane): each row's X element times the node's W
+            # slot, plus the flat [row][lane] accumulator.
+            values = fma_guarded_f64_fmt(
+                x[:, :, None], w[:, None, :], acc.reshape(n, -1, lanes),
+                self.fmt,
+            ).reshape(n, -1)
             for row, node in enumerate(level):
                 node.values = values[row]
         return [self._materialise(v) for v in vectors]

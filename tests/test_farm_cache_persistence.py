@@ -45,6 +45,29 @@ class TestTimingCachePersistence:
         assert loaded.load(path) == 1
         assert loaded.peek(_key()) == _record()
 
+    def test_failed_save_leaves_the_previous_file_intact(self, tmp_path):
+        """`save` writes a temporary file and replaces the target only
+        once the payload is complete: a serialisation error part-way
+        through must leave the old file loadable and no temp file behind."""
+        path = tmp_path / "cache.json"
+        old = TimingCache()
+        old.store(_key(), _record(111))
+        assert old.save(path) == 1
+        before = path.read_bytes()
+
+        broken = TimingCache()
+        broken.store(_key(), _record(222))
+        broken.store(_key(m=16), _record(333))
+        broken.traces["poison"] = object()  # not JSON-serialisable
+        with pytest.raises(TypeError):
+            broken.save(path)
+
+        assert path.read_bytes() == before
+        loaded = TimingCache()
+        assert loaded.load(path) == 1
+        assert loaded.peek(_key()) == _record(111)
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
     def test_farm_save_cache_into_missing_directory(self, tmp_path):
         farm = SimulationFarm(max_workers=1)
         farm.run_gemm(8, 8, 8, backend="model")

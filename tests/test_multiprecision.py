@@ -130,6 +130,21 @@ class TestEngineBitExactness:
         assert res_a.cycles == res_b.cycles
         assert img_a == img_b
 
+    @pytest.mark.parametrize("fmt", ("fp8-e4m3", "fp8-e5m2"))
+    @pytest.mark.parametrize("shape", [(13, 9, 17), (21, 6, 33)])
+    def test_packed_lanes_bit_identical_with_accumulate(self, fmt, shape):
+        """The SIMD strategy broadcasts each X row against a 2-lane W slot
+        inside the kernel; against the scalar oracle on an odd K (the last
+        slot is half valid), a ragged M and a pre-loaded Z."""
+        m, n, k = shape
+        config = RedMulEConfig(format=fmt)
+        res_a, img_a, _ = _run_shape(config, "exact", m, n, k,
+                                     accumulate=True, seed=5)
+        res_b, img_b, _ = _run_shape(config, "exact-simd", m, n, k,
+                                     accumulate=True, seed=5)
+        assert res_a.cycles == res_b.cycles
+        assert img_a == img_b
+
     @pytest.mark.parametrize("fmt", NARROW_FORMATS)
     def test_engine_matches_the_generic_golden_model(self, fmt):
         m, n, k = 9, 6, 37

@@ -67,6 +67,34 @@ class TestVectorOps:
                                                 simd.from_bits(acc_bits)))
             assert simd_result == exact_result
 
+    @pytest.mark.parametrize("fmt", ["fp8-e4m3", "fp8-e5m2"])
+    def test_packed_lane_chains_match_scalar_oracle(self, fmt):
+        """Packed FP8 slots over every pattern, infinities and NaNs
+        included, so the double-rounding fallback runs on the broadcast
+        (row, lane) layout too."""
+        rng = np.random.default_rng(13)
+        exact = ExactVectorOps(fmt)
+        simd = ExactSimdVectorOps(fmt)
+        rows, lanes = 8, exact.lanes
+        columns_exact, columns_simd = [], []
+        for _ in range(3):
+            acc_bits = [int(v) for v in rng.integers(0, 256, rows * lanes)]
+            acc_e, acc_s = exact.from_bits(acc_bits), simd.from_bits(acc_bits)
+            for _ in range(6):
+                x_bits = [int(v) for v in rng.integers(0, 256, rows)]
+                line = [int(v) for v in rng.integers(0, 256, 4 * lanes)]
+                k = int(rng.integers(0, 4))
+                acc_e = exact.fma(exact.from_bits(x_bits),
+                                  exact.w_slot(exact.from_line(line), k), acc_e)
+                acc_s = simd.fma(simd.from_bits(x_bits),
+                                 simd.w_slot(simd.from_line(line), k), acc_s)
+            columns_exact.append(acc_e)
+            columns_simd.append(acc_s)
+        assert simd.to_bits(columns_simd[0]) == exact.to_bits(columns_exact[0])
+        got = simd.to_lines(columns_simd)
+        want = exact.to_lines(columns_exact)
+        assert [[int(v) for v in row] for row in got] == want
+
     def test_factory(self):
         assert isinstance(make_vector_ops(), ExactSimdVectorOps)
         assert isinstance(make_vector_ops("exact"), ExactVectorOps)
