@@ -9,8 +9,8 @@ roadmap's serving ambitions:
 * ``serve-mix`` -- four tenants with different model families (the
   auto-encoder tenant, a transformer+conv tenant, a recurrent tenant, and
   an edge-training tenant running reduced-precision FP8/BF16 model
-  variants), exercising the scheduler's per-tenant accounting, the
-  mixed-precision farm routing and the cache across heterogeneous graphs;
+  variants), exercising per-tenant accounting, the mixed-precision farm
+  routing and the cache across heterogeneous graphs;
 * ``serve-million`` -- the continuous event-loop server under production
   traffic: configurable arrival process (Poisson / diurnal / bursty MMPP),
   SLO-aware admission with tenant fairness, optional queue/p99-driven
@@ -27,10 +27,11 @@ roadmap's serving ambitions:
   FP16 block whose KV-cache reads run FP8 via per-node precision
   overrides.
 
-The first two run Poisson arrivals through the dependency-aware list
-scheduler on a pool of simulated clusters and return a
-:class:`~repro.serve.report.ServeReport`; ``serve-million`` and
-``serve-decode`` return a
+The first two run Poisson arrivals through
+:class:`~repro.serve.loop.ContinuousServer` with ``dispatch="node"``
+(dependency-aware list scheduling of graph nodes on a pool of simulated
+clusters); ``serve-million`` and ``serve-decode`` use its default atomic
+dispatch.  All four return a
 :class:`~repro.serve.report.ContinuousReport`.  The runner CLI
 parameterises them through :func:`set_serve_defaults` (``--clusters`` /
 ``--rps``), :func:`set_serve_million_defaults` (``--duration`` /
@@ -53,8 +54,6 @@ from repro.serve import (
     ContinuousServer,
     ModelSpec,
     RequestGenerator,
-    ServeReport,
-    ServingSimulator,
     TenantSpec,
 )
 from repro.graph.zoo import build_model
@@ -179,16 +178,18 @@ def set_serve_decode_defaults(
 
 
 def _simulate(tenants, clusters: int, duration_s: float, seed: int,
-              scenario: str, farm: Optional[SimulationFarm]) -> ServeReport:
+              scenario: str,
+              farm: Optional[SimulationFarm]) -> ContinuousReport:
     farm = farm if farm is not None else default_farm()
     generator = RequestGenerator(tenants, seed=seed)
     requests = generator.generate(duration_s)
     # The analytical backend keeps the scenarios closed-form fast; every
     # distinct shape is still memoised in the shared farm cache.
-    simulator = ServingSimulator(n_clusters=clusters, farm=farm,
-                                 backend=BACKEND_MODEL,
-                                 frequency_hz=generator.frequency_hz)
-    return simulator.simulate(requests, scenario=scenario)
+    server = ContinuousServer(n_clusters=clusters, farm=farm,
+                              backend=BACKEND_MODEL,
+                              frequency_hz=generator.frequency_hz,
+                              dispatch="node")
+    return server.simulate(requests, scenario=scenario)
 
 
 def serve_mlp(
@@ -197,7 +198,7 @@ def serve_mlp(
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
     farm: Optional[SimulationFarm] = None,
-) -> ServeReport:
+) -> ContinuousReport:
     """Single-tenant auto-encoder serving (batch-1 : batch-16 mixed 3:1)."""
     clusters, rps = _resolve(clusters, rps)
     tenant = TenantSpec(
@@ -219,7 +220,7 @@ def serve_mix(
     duration_s: float = DEFAULT_DURATION_S,
     seed: int = 0,
     farm: Optional[SimulationFarm] = None,
-) -> ServeReport:
+) -> ContinuousReport:
     """Three tenants, heterogeneous model mix, shared pool and cache."""
     clusters, rps = _resolve(clusters, rps)
     tenants = (

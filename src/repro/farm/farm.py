@@ -500,7 +500,7 @@ class SimulationFarm:
         accelerator job of every node goes through the farm in a single
         batch; the returned timing sums the node costs as if one cluster
         executed the program back to back, which is the serial reference the
-        serving scheduler's single-cluster makespan must reproduce.
+        serving loop's single-cluster makespan must reproduce.
         ``per_gemm`` is keyed by *node* name (a tiled node's jobs are
         aggregated).
 

@@ -18,7 +18,7 @@
 * :mod:`repro.graph.lower` -- the pass producing dependency-annotated
   :class:`~repro.redmule.job.MatmulJob` streams (whole-GEMM or tiled via
   :func:`repro.cluster.tiler.plan_tiled_matmul`) that the simulation farm
-  and the serving scheduler consume, honouring per-node precision.
+  and the serving loop consume, honouring per-node precision.
 
 See ``docs/architecture.md`` for where this subsystem sits in the stack.
 """

@@ -3,7 +3,7 @@
 The paper hand-decomposes exactly one model (the MLPerf-Tiny auto-encoder)
 into a flat GEMM list; every builder here generalises that decomposition to a
 :class:`~repro.graph.ir.WorkloadGraph` with explicit tensor dependencies, so
-the serving scheduler can overlap whatever is actually independent:
+the serving loop's node dispatch can overlap whatever is actually independent:
 
 * :func:`mlp_forward_graph` / :func:`mlp_training_graph` -- dense MLP
   inference and SGD training step (forward + weight/input gradients), the

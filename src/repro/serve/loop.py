@@ -1,25 +1,35 @@
 """Continuous serving loop: admission, autoscaling, precision routing.
 
-:class:`ContinuousServer` is the production-shaped counterpart of the
-node-granular :class:`~repro.serve.scheduler.ServingSimulator`: one event
-heap of arrival / completion / provision / autoscale-evaluation events, no
-global waves, and a request stream that is consumed lazily -- the loop holds
-O(in-flight + queued) state no matter how many million requests the traffic
-window contains.
+:class:`ContinuousServer` serves a request stream on a pool of simulated
+RedMulE clusters from one event heap of completion / decode-step /
+provision / autoscale-evaluation events.  The stream is consumed lazily --
+the loop holds O(in-flight + queued) state no matter how many million
+requests the traffic window contains.
 
-Requests are served as atomic units: a request occupies one cluster for its
-graph's *serial* service time, which the loop memoises per (graph,
-precision) -- the first request of a model/precision pair sends every
-accelerator job through the farm in one batched call, every later request
-resolves in a dictionary lookup and never touches the farm.  By
-construction that service time equals
-``SimulationFarm.time_program(program, offload)`` rounded to a cycle, so
-the wave scheduler's conservation law (one cluster x one request makespan
-== serial farm timing) holds on the continuous loop too, and is pinned by
-the test suite.  Intra-request node parallelism remains the wave-free
-:class:`ServingSimulator`'s department.
+Two dispatch granularities share the heap, the clock, the service memo and
+the accounting; the choice is made once, at construction:
 
-On top of the loop sit the production concerns it unlocks:
+* ``dispatch="atomic"`` (default): a request occupies one cluster for its
+  graph's *serial* service time.  By construction that time equals
+  ``SimulationFarm.time_program(program, offload)`` rounded to a cycle, so
+  the conservation law (one cluster x one request makespan == serial farm
+  timing) holds and is pinned by the test suite.
+* ``dispatch="node"``: dependency-aware list scheduling of the lowered
+  graph's nodes.  A node becomes ready once its request has arrived and
+  its dependencies completed; ready GEMM nodes go FIFO by (arrival,
+  admission index, topological index) onto the lowest-id idle cluster, each
+  for its own rounded service time; elementwise nodes run on the host cores
+  and hold no cluster.  Dispatch at cycle t runs after every completion and
+  arrival at t, and repeats until same-cycle host completions settle.
+  Intra-request parallelism (a training step's dW/dX branches) overlaps on
+  the pool.
+
+Service times are memoised per (graph, effective precision): the first
+request of a model/precision pair sends every accelerator job through the
+farm in one batched call, every later request resolves in a dictionary
+lookup and never touches the farm.
+
+On top of atomic dispatch sit the production concerns it unlocks:
 
 * **admission control** (:class:`AdmissionPolicy`): bounded queue,
   per-tenant fairness caps, and SLO-aware rejection (refuse a request whose
@@ -28,11 +38,6 @@ On top of the loop sit the production concerns it unlocks:
 * **autoscaling** (:class:`AutoscalePolicy`): periodic evaluations scale
   the pool on queue depth and windowed p99, with a configurable
   provisioning delay before new capacity joins;
-* **precision routing**: a request stamped with a tenant precision class
-  (e.g. ``"fp8-e4m3"``) is timed through the per-precision farm of that
-  element format (all derived farms share one timing cache -- PR 5's
-  plumbing), so throughput tenants ride packed FP8 while accuracy-critical
-  tenants stay FP16 on the same pool;
 * **continuous batching** (``batch_cap > 1``): decode *sessions*
   (:class:`~repro.serve.requests.DecodeSessionSpec` requests) are
   multi-step units -- one skinny-GEMM step graph per generated token,
@@ -49,14 +54,20 @@ On top of the loop sit the production concerns it unlocks:
   ``farm.time_program`` makespans -- holds by construction and is pinned
   per precision by the test suite.
 
+Both granularities route precision the same way: a request stamped with a
+tenant precision class (e.g. ``"fp8-e4m3"``) is timed through
+``farm.with_format`` of that element format (every derived farm shares one
+timing cache), so throughput tenants ride packed FP8 while
+accuracy-critical tenants stay FP16 on the same pool.
+
 The loop is instrumented through :mod:`repro.obs`: per-request lifecycle
-spans stamped in *simulated* cycles on per-cluster-lane tracks (attrs:
-tenant, model/precision, queue wait), shed/autoscale decision events,
-and queue-depth / in-flight / pool-size gauges.  The telemetry is
-captured at construction (``telemetry=`` parameter, defaulting to the
-process-wide :func:`repro.obs.active`); with the default
-:data:`~repro.obs.NULL_TELEMETRY` every hook is a single attribute
-check, which the observability benchmark gates at <= 2 % overhead.
+spans (atomic) or per-node placement spans (node) stamped in *simulated*
+cycles on per-cluster lanes of the ``serve`` track, shed/autoscale
+decision events, and queue-depth / in-flight / pool-size gauges.  The
+telemetry is captured at construction (``telemetry=`` parameter,
+defaulting to the process-wide :func:`repro.obs.active`); with the default
+:data:`~repro.obs.NULL_TELEMETRY` every hook is a single attribute check,
+which the observability benchmark gates at <= 2 % overhead.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.farm import SimulationFarm, default_farm
 from repro.graph.ir import WorkloadGraph
@@ -79,7 +90,6 @@ from repro.serve.report import (
     TenantReport,
 )
 from repro.serve.requests import DEFAULT_FREQUENCY_HZ, Request
-from repro.serve.scheduler import derive_precision_farm
 
 #: Event kinds, ordered so capacity freed or provisioned at cycle t serves
 #: an arrival at the same cycle: completions first, then decode step
@@ -95,6 +105,48 @@ _EVENT_EVAL = 3
 
 #: ``drain()``'s pump limit: beyond any schedulable cycle.
 _FOREVER = 1 << 62
+
+#: Dispatch granularities (see the module docstring).
+DISPATCH_MODES = ("atomic", "node")
+
+
+class _Service(NamedTuple):
+    """Memoised service of one (graph, effective precision) pair."""
+
+    #: The graph lowered for the effective precision's farm.
+    program: LoweredProgram
+    #: Per-node cycles, each rounded on its own (node dispatch).  GEMM
+    #: nodes: farm cycles plus the per-job offload charge; elementwise
+    #: nodes: their host-core cost.
+    node_cycles: Tuple[int, ...]
+    #: Serial service cycles, rounded once (atomic dispatch).
+    cycles: int
+
+
+class _NodeRequest:
+    """Progress of one request under node dispatch.
+
+    ``index`` is the admission index (the ready-queue tie-break after the
+    arrival cycle); ``remaining`` counts each node's unfinished
+    dependencies.
+    """
+
+    __slots__ = ("request", "index", "service", "remaining", "dependents",
+                 "unfinished")
+
+    def __init__(self, request: Request, index: int,
+                 service: _Service) -> None:
+        self.request = request
+        self.index = index
+        self.service = service
+        nodes = service.program.nodes
+        position = {node.name: i for i, node in enumerate(nodes)}
+        self.remaining = [len(node.deps) for node in nodes]
+        self.dependents: List[List[int]] = [[] for _ in nodes]
+        for node_index, node in enumerate(nodes):
+            for dep in node.deps:
+                self.dependents[position[dep]].append(node_index)
+        self.unfinished = len(nodes)
 
 
 @dataclass(frozen=True)
@@ -249,11 +301,41 @@ class ContinuousServer:
     simulations; :meth:`simulate` wraps it for the common stream-in,
     report-out case.
 
-    Parameters mirror :class:`ServingSimulator` where they overlap;
-    ``admission`` and ``autoscaler`` are optional policies (both default
-    to off: unbounded queue, fixed pool).  ``batch_cap`` bounds how many
-    decode sessions may share one cluster's batched steps (1 = no
-    cross-request batching: every session steps alone).
+    Parameters
+    ----------
+    n_clusters:
+        Initial pool size.  Every cluster is an instance of ``config`` (the
+        farm's configuration when a farm is passed).
+    farm / config:
+        Timing service shared by the pool (default: the process-wide
+        :func:`repro.farm.default_farm` of ``config``).
+    backend:
+        Per-call farm backend override; ``None`` keeps the farm's policy.
+    frequency_hz:
+        Operating frequency converting cycles to wall-clock rates.
+    offload_cycles_per_job / elementwise_cycles_per_element:
+        Core-side cost per accelerator job, and host-core cost per element
+        of elementwise nodes (0 models them as hidden behind accelerator
+        work).
+    admission / autoscaler:
+        Optional policies (both default to off: unbounded queue, fixed
+        pool).
+    stats_mode / reservoir_size / keep_latencies:
+        Latency accounting (see
+        :class:`~repro.serve.report.StreamingLatencyStats`);
+        ``keep_latencies`` also keeps every latency in :attr:`latencies`.
+    batch_cap:
+        How many decode sessions may share one cluster's batched steps
+        (1 = no cross-request batching: every session steps alone).
+    telemetry:
+        Observability sink (default: :func:`repro.obs.active`).
+    dispatch:
+        ``"atomic"`` (a request holds one cluster for its serial service
+        time) or ``"node"`` (dependency-aware list scheduling of graph
+        nodes, see the module docstring).  Node dispatch serves graph
+        requests on a fixed pool: combining it with ``admission``,
+        ``autoscaler``, ``batch_cap > 1``, a decode request or
+        :meth:`force_scale` raises ``ValueError``.
     """
 
     def __init__(
@@ -272,6 +354,7 @@ class ContinuousServer:
         keep_latencies: bool = False,
         batch_cap: int = 1,
         telemetry=None,
+        dispatch: str = "atomic",
     ) -> None:
         if n_clusters < 1:
             raise ValueError("the pool needs at least one cluster")
@@ -287,6 +370,15 @@ class ContinuousServer:
                              "[min_clusters, max_clusters] band")
         if batch_cap < 1:
             raise ValueError("batch_cap must be at least 1")
+        if dispatch not in DISPATCH_MODES:
+            raise ValueError(f"unknown dispatch {dispatch!r}; "
+                             f"one of {DISPATCH_MODES}")
+        if dispatch == "node" and (admission is not None
+                                   or autoscaler is not None
+                                   or batch_cap > 1):
+            raise ValueError("node dispatch runs a fixed pool: no admission "
+                             "policy, autoscaler or decode batching")
+        self.dispatch = dispatch
         self.batch_cap = batch_cap
         self.farm = farm if farm is not None else default_farm(config)
         self.backend = backend
@@ -332,14 +424,14 @@ class ContinuousServer:
         self._eval_scheduled = False
 
         # -- timing services -------------------------------------------------
-        self._farms: Dict[str, SimulationFarm] = {self.farm.config.format:
-                                                  self.farm}
-        self._programs: Dict[Tuple[WorkloadGraph, str], LoweredProgram] = {}
-        #: (graph, effective precision) -> serial service cycles.
-        self._service: Dict[Tuple[WorkloadGraph, str], int] = {}
+        #: (graph, effective precision) -> memoised service.  Keyed by the
+        #: graph object itself: the reference keeps it alive, so a recycled
+        #: object id can never alias a different model.
+        self._service: Dict[Tuple[WorkloadGraph, str], _Service] = {}
         #: Hot-path alias of ``_service`` keyed by the *requested* (graph,
-        #: precision) pair, so the common case resolves in one dict lookup
-        #: without re-deriving the effective precision.
+        #: precision) pair, holding the serial cycles, so the common atomic
+        #: case resolves in one dict lookup without re-deriving the
+        #: effective precision.
         self._service_fast: Dict[Tuple[WorkloadGraph, Optional[str]],
                                  int] = {}
         # -- decode step-cost memos (keyed by step signature) ----------------
@@ -404,6 +496,17 @@ class ContinuousServer:
             self._obs_inflight: Dict[int, List[Tuple[int, int]]] = {}
             obs.sample("serve.pool_size", n_clusters, ts=0, track="serve")
 
+        # -- node dispatch ---------------------------------------------------
+        # Bound once here, so the atomic hot path carries no mode branch.
+        if dispatch == "node":
+            #: Idle cluster ids (a heap: the lowest id is dispatched first).
+            self._idle_clusters = list(range(n_clusters))
+            #: Ready nodes, (arrival, admission index, node index, request).
+            self._ready_gemm: List[Tuple[int, int, int, _NodeRequest]] = []
+            self._ready_host: List[Tuple[int, int, int, _NodeRequest]] = []
+            self.offer = self._offer_node
+            self._pump = self._pump_node
+
     # -- clock ---------------------------------------------------------------
     @property
     def now(self) -> int:
@@ -436,53 +539,53 @@ class ContinuousServer:
             self._pool_marker = cycle
 
     # -- service timing ------------------------------------------------------
-    def _farm_for(self, precision: str) -> SimulationFarm:
-        farm = self._farms.get(precision)
-        if farm is None:
-            farm = derive_precision_farm(self.farm, precision)
-            self._farms[precision] = farm
-        return farm
-
-    def service_cycles(self, graph: WorkloadGraph,
-                       precision: Optional[str] = None) -> int:
-        """Serial service cycles of one request of ``graph``.
+    def _service_for(self, graph: WorkloadGraph,
+                     precision: Optional[str]) -> _Service:
+        """Memoised service of one request of ``graph``.
 
         ``precision`` is the request's routing class; a graph carrying its
         own precision always wins (matching :meth:`WorkloadGraph.lower`),
-        then the routed class, then the pool's default format.  First call
-        per (graph, precision) primes the memo through one batched farm
-        run; later calls are dictionary lookups.
+        then the routed class, then the pool's default format.  The first
+        call per (graph, effective precision) lowers the graph and times
+        every accelerator job through one batched farm run; later calls
+        are dictionary lookups.
         """
         effective = (graph.precision or precision
                      or self.farm.config.format)
         key = (graph, effective)
-        cycles = self._service.get(key)
-        if cycles is not None:
+        service = self._service.get(key)
+        if service is not None:
             self.memo_hits += 1
-            return cycles
+            return service
         self.memo_misses += 1
-        farm = self._farm_for(effective)
-        program = self._programs.get(key)
-        if program is None:
-            program = graph.lower(config=farm.config)
-            self._programs[key] = program
+        farm = self.farm.with_format(effective)
+        program = graph.lower(config=farm.config)
         jobs = [job for node in program.nodes for job in node.jobs]
-        results = farm.run(jobs, backend=self.backend) if jobs else []
+        results = iter(farm.run(jobs, backend=self.backend) if jobs else [])
         self._jobs_timed += len(jobs)
+        node_cycles = []
         total = 0.0
-        offset = 0
         for node in program.nodes:
             if node.is_gemm:
-                total += sum(result.cycles for result in
-                             results[offset:offset + node.n_jobs])
-                total += self.offload_cycles_per_job * node.n_jobs
-                offset += node.n_jobs
+                cycles = sum(next(results).cycles
+                             for _ in range(node.n_jobs))
+                offload = self.offload_cycles_per_job * node.n_jobs
+                total += cycles
+                total += offload
+                cycles += offload
             else:
-                total += (self.elementwise_cycles_per_element
-                          * node.elements)
-        cycles = int(round(total))
-        self._service[key] = cycles
-        return cycles
+                cycles = self.elementwise_cycles_per_element * node.elements
+                total += cycles
+            node_cycles.append(int(round(cycles)))
+        service = _Service(program, tuple(node_cycles), int(round(total)))
+        self._service[key] = service
+        return service
+
+    def service_cycles(self, graph: WorkloadGraph,
+                       precision: Optional[str] = None) -> int:
+        """Serial service cycles of one request of ``graph`` (see
+        :meth:`_service_for` for the precision rule)."""
+        return self._service_for(graph, precision).cycles
 
     # -- decode step costing -------------------------------------------------
     def _decode_effective(self, precision: Optional[str]) -> str:
@@ -504,7 +607,7 @@ class ContinuousServer:
         overrides are honoured here.  Offload and elementwise core costs
         are charged exactly like :meth:`service_cycles`.
         """
-        farm = self._farm_for(effective)
+        farm = self.farm.with_format(effective)
         program = graph.lower(config=farm.config)
         timing = farm.time_program(program, backend=self.backend)
         self._jobs_timed += program.n_jobs
@@ -757,6 +860,117 @@ class ContinuousServer:
             self.memo_hits += 1
         return service
 
+    # -- node dispatch -------------------------------------------------------
+    def _offer_node(self, request: Request) -> bool:
+        """:meth:`offer` under node dispatch (bound at construction).
+
+        The clock settles every cycle before the arrival and processes the
+        completions *at* it, but defers that cycle's dispatch: further
+        arrivals at the same cycle may still join the ready queues.
+        """
+        if request.decode is not None:
+            raise ValueError("node dispatch serves graph requests only; "
+                             "decode sessions need dispatch='atomic'")
+        arrival = request.arrival_cycle
+        self._accept_arrival(arrival)
+        self._pump_node(arrival)
+        self._advance_pool_integral(arrival)
+        self._now = arrival
+        state = _NodeRequest(request, self.admitted,
+                             self._service_for(request.graph,
+                                               request.precision))
+        self.admitted += 1
+        if self._obs.enabled:
+            self._obs.count("serve.admitted")
+        if state.unfinished == 0:
+            self._finish_node_request(state)
+        for node_index, count in enumerate(state.remaining):
+            if count == 0:
+                self._ready_node(state, node_index)
+        return True
+
+    def _ready_node(self, state: _NodeRequest, node_index: int) -> None:
+        queue = (self._ready_gemm
+                 if state.service.program.nodes[node_index].is_gemm
+                 else self._ready_host)
+        heapq.heappush(queue, (state.request.arrival_cycle, state.index,
+                               node_index, state))
+
+    def _place_node(self, state: _NodeRequest, node_index: int,
+                    cluster: int) -> None:
+        """Start one node now; ``cluster`` is ``-1`` for the host cores."""
+        now = self._now
+        end = now + state.service.node_cycles[node_index]
+        self._push(end, _EVENT_COMPLETION, (state, node_index, cluster))
+        obs = self._obs
+        if obs.enabled:
+            request = state.request
+            name = state.service.program.nodes[node_index].name
+            if cluster >= 0:
+                obs.complete_span(
+                    name, now, end, track="serve", lane=f"cluster{cluster}",
+                    cat="node", request_id=request.request_id,
+                    tenant=request.tenant)
+            else:
+                # Host concurrency is unbounded: an instant, not a span.
+                obs.instant(
+                    name, ts=now, track="serve", lane="host", cat="node",
+                    duration=end - now, request_id=request.request_id,
+                    tenant=request.tenant)
+            obs.count("serve.nodes")
+
+    def _dispatch_nodes(self) -> None:
+        """Start every ready host node, then the oldest ready GEMM nodes
+        on the lowest-id idle clusters."""
+        ready_host = self._ready_host
+        while ready_host:
+            _, _, node_index, state = heapq.heappop(ready_host)
+            self._place_node(state, node_index, -1)
+        idle, ready = self._idle_clusters, self._ready_gemm
+        while idle and ready:
+            _, _, node_index, state = heapq.heappop(ready)
+            self._busy_cycles += state.service.node_cycles[node_index]
+            self._place_node(state, node_index, heapq.heappop(idle))
+
+    def _complete_node(self, state: _NodeRequest, node_index: int,
+                       cluster: int) -> None:
+        if cluster >= 0:
+            heapq.heappush(self._idle_clusters, cluster)
+        for dependent in state.dependents[node_index]:
+            state.remaining[dependent] -= 1
+            if state.remaining[dependent] == 0:
+                self._ready_node(state, dependent)
+        state.unfinished -= 1
+        if state.unfinished == 0:
+            self._finish_node_request(state)
+
+    def _finish_node_request(self, state: _NodeRequest) -> None:
+        self._last_completion = self._now
+        latency = self._record_completion(state.request)
+        if self._obs.enabled:
+            self._obs.count("serve.completed")
+            self._obs.observe("serve.latency_cycles", latency)
+
+    def _pump_node(self, limit: int) -> None:
+        """:meth:`_pump` under node dispatch (bound at construction).
+
+        Dispatches at every cycle before ``limit`` once all of its events
+        are processed (repeating while zero-cost host nodes complete at
+        the same cycle); events *at* ``limit`` are processed but its
+        dispatch is left to the next pump, after any same-cycle arrivals.
+        """
+        events = self._events
+        while True:
+            if self._now < limit:
+                self._dispatch_nodes()
+            if not events or events[0][0] > limit:
+                return
+            cycle = events[0][0]
+            self._advance_pool_integral(cycle)
+            self._now = cycle
+            while events and events[0][0] <= cycle:
+                self._complete_node(*heapq.heappop(events)[3])
+
     # -- decode sessions -----------------------------------------------------
     def _admit_decode_session(self, request: Request, service: int) -> None:
         """Place a just-admitted decode session: own cluster, running
@@ -930,6 +1144,8 @@ class ContinuousServer:
         is returned (shrinks are limited to idle clusters and a floor of
         one cluster).
         """
+        if self.dispatch == "node":
+            raise ValueError("node dispatch runs a fixed pool")
         if delta == 0:
             return 0
         self._advance_pool_integral(self._now)
@@ -1017,14 +1233,9 @@ class ContinuousServer:
                 self._evaluate_scaling()
 
     # -- public API ----------------------------------------------------------
-    def offer(self, request: Request) -> bool:
-        """Offer one request at its arrival cycle; True if admitted.
-
-        Offers must be arrival-ordered (what the generator's merged stream
-        guarantees); the loop advances to the arrival cycle as a side
-        effect, so completions scheduled before it are processed first.
-        """
-        arrival = request.arrival_cycle
+    def _accept_arrival(self, arrival: int) -> None:
+        """Count an offer, refusing one out of arrival order or in the
+        past."""
         if arrival < self._last_offer:
             raise ValueError(
                 "requests must be offered in arrival order; "
@@ -1035,6 +1246,16 @@ class ContinuousServer:
                 f"(clock is at {self._now})")
         self._last_offer = arrival
         self.offered += 1
+
+    def offer(self, request: Request) -> bool:
+        """Offer one request at its arrival cycle; True if admitted.
+
+        Offers must be arrival-ordered (what the generator's merged stream
+        guarantees); the loop advances to the arrival cycle as a side
+        effect, so completions scheduled before it are processed first.
+        """
+        arrival = request.arrival_cycle
+        self._accept_arrival(arrival)
         # Catch the clock up to the arrival before deciding admission, so
         # queue state reflects every completion up to this instant (events
         # *at* the arrival cycle included -- identical ordering to a

@@ -400,9 +400,9 @@ class TestServeMixedPrecision:
     def test_mixed_precision_serving_routes_per_format_farms(self):
         from repro.graph.zoo import build_model
         from repro.serve import (
+            ContinuousServer,
             ModelSpec,
             RequestGenerator,
-            ServingSimulator,
             TenantSpec,
         )
 
@@ -414,14 +414,15 @@ class TestServeMixedPrecision:
                        rps=1000.0),
         )
         generator = RequestGenerator(tenants, seed=0)
-        simulator = ServingSimulator(n_clusters=2, backend="model")
-        report = simulator.simulate(generator.generate(0.02), "mixed")
+        server = ContinuousServer(n_clusters=2, backend="model",
+                                  dispatch="node")
+        report = server.simulate(generator.generate(0.02), "mixed")
         assert report.completed > 0
         assert set(report.tenants) == {"fp16", "fp8"}
         # Both precision farms were exercised and share one cache.
-        assert set(simulator._farms) >= {"fp16", "fp8-e4m3"}
-        assert (simulator._farms["fp8-e4m3"].cache
-                is simulator.farm.cache)
+        assert {fmt for _, fmt in server._service} >= {"fp16", "fp8-e4m3"}
+        farm = server.farm
+        assert farm.with_format("fp8-e4m3").cache is farm.cache
 
 
 class TestServeSatelliteRegressions:

@@ -1,26 +1,35 @@
-"""Tests of the multi-tenant serving simulator (requests, scheduler, report)."""
+"""Tests of the multi-tenant serving simulator (requests, loop, report)."""
 
 import itertools
+import json
+import os
+from collections import namedtuple
 
 import pytest
 
+from repro import obs
 from repro.farm import SimulationFarm
+from repro.graph.llm import build_decode_spec
 from repro.graph.zoo import build_model, mlp_training_graph
+from repro.obs import Telemetry
 from repro.serve import (
     ARRIVAL_KINDS,
     AdmissionPolicy,
     ArrivalSpec,
     AutoscalePolicy,
     ContinuousServer,
+    DecodeSessionSpec,
     LatencyStats,
     ModelSpec,
     Request,
     RequestGenerator,
-    ServingSimulator,
     TenantSpec,
     percentile,
 )
-from repro.serve.scheduler import derive_precision_farm
+
+#: Per-request completion cycles of the node-dispatch golden scenarios.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                           "serve_node_golden.json")
 
 
 def _model_farm():
@@ -114,7 +123,45 @@ class TestGenerator:
             RequestGenerator([_tenant()], seed=0).burst(0)
 
 
-class TestSchedulerParity:
+def _node_server(n_clusters=1, farm=None, **kwargs):
+    return ContinuousServer(n_clusters=n_clusters,
+                            farm=farm if farm is not None else _model_farm(),
+                            dispatch="node", **kwargs)
+
+
+NodeSpan = namedtuple("NodeSpan", "request_id node cluster start_cycle "
+                                  "end_cycle")
+
+
+def _node_spans(telemetry):
+    """Every node placement recorded on the serve track.
+
+    Cluster nodes are spans on lane ``cluster<id>``; host-side elementwise
+    nodes are instants on lane ``host`` (cluster ``-1``) carrying their
+    duration as an attribute.
+    """
+    spans = []
+    for _, _, lane, ts, dur, name, cat, attrs in telemetry.events():
+        if cat != "node":
+            continue
+        if lane == "host":
+            cluster, end = -1, ts + attrs["duration"]
+        else:
+            cluster, end = int(lane[len("cluster"):]), ts + dur
+        spans.append(NodeSpan(attrs["request_id"], name, cluster, int(ts),
+                              int(end)))
+    return spans
+
+
+def _traced(requests, n_clusters=1, farm=None, **kwargs):
+    """Serve under node dispatch with live telemetry: (report, spans)."""
+    telemetry = Telemetry()
+    report = _node_server(n_clusters, farm, telemetry=telemetry,
+                          **kwargs).simulate(requests)
+    return report, _node_spans(telemetry)
+
+
+class TestNodeDispatchParity:
     """Acceptance criterion: one tenant + one cluster == serial farm timing."""
 
     @pytest.mark.parametrize("model", ["mlp-tiny", "autoencoder-b16",
@@ -124,7 +171,7 @@ class TestSchedulerParity:
         graph = build_model(model)
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec(model, graph),))], seed=0).burst(1)
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        report = _node_server(1, farm).simulate(requests)
         serial = farm.time_program(graph.lower(config=farm.config))
         assert report.makespan_cycles == int(serial.cycles)
         assert report.completed == 1
@@ -136,26 +183,94 @@ class TestSchedulerParity:
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("mlp-tiny", graph),))],
             seed=0).burst(3)
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        report = _node_server(1, farm).simulate(requests)
         serial = farm.time_program(graph.lower(config=farm.config))
         assert report.makespan_cycles == 3 * int(serial.cycles)
 
+    def test_fp8_routed_request_is_timed_at_fp8(self):
+        """Node dispatch honours ``Request.precision`` exactly like atomic
+        dispatch: an FP8-routed request takes the FP8 farm's serial time."""
+        farm = _model_farm()
+        graph = build_model("mlp-tiny")
+        fp8 = farm.with_format("fp8-e4m3")
+        serial = int(round(fp8.time_program(
+            graph.lower(config=fp8.config)).cycles))
+        report = _node_server(1, farm).simulate([Request(
+            request_id=0, tenant="t", model="m", graph=graph,
+            arrival_cycle=0, precision="fp8-e4m3")])
+        assert report.makespan_cycles == serial == 2776
 
-class TestSchedulerSemantics:
+
+def _golden_burst_mlp_tiny():
+    return RequestGenerator([_tenant()], seed=0).burst(4)
+
+
+class TestNodeDispatchGolden:
+    """Per-request completion cycles pinned to the node-granular list
+    scheduler's output, recorded before it was folded into the loop."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_PATH) as handle:
+            return json.load(handle)
+
+    @staticmethod
+    def _completions(spans):
+        done = {}
+        for span in spans:
+            key = str(span.request_id)
+            done[key] = max(done.get(key, 0), span.end_cycle)
+        return done
+
+    def test_scaling_burst(self, golden):
+        from benchmarks.bench_serve_scaling import PER_TENANT, _tenants
+
+        farm = _model_farm()
+        requests = RequestGenerator(_tenants(), seed=0).burst(PER_TENANT)
+        _node_server(1, farm).simulate(requests)  # warm, as the bench does
+        for pool in (1, 2, 4):
+            report, spans = _traced(requests, pool, farm)
+            assert self._completions(spans) == \
+                golden[f"scaling-burst-{pool}c"]
+            assert report.completed == len(requests)
+
+    @pytest.mark.parametrize("scenario", ["serve-mlp", "serve-mix"])
+    def test_registry_scenario(self, golden, scenario):
+        from repro.experiments import serve
+
+        driver = {"serve-mlp": serve.serve_mlp,
+                  "serve-mix": serve.serve_mix}[scenario]
+        telemetry = obs.install(Telemetry())
+        try:
+            driver(farm=_model_farm())
+        finally:
+            obs.install(None)
+        assert self._completions(_node_spans(telemetry)) == golden[scenario]
+
+    @pytest.mark.parametrize("pool", [1, 2])
+    def test_host_nodes_and_offload(self, golden, pool):
+        _, spans = _traced(_golden_burst_mlp_tiny(), pool,
+                           elementwise_cycles_per_element=50,
+                           offload_cycles_per_job=30)
+        assert any(span.cluster == -1 and span.end_cycle > span.start_cycle
+                   for span in spans)
+        assert self._completions(spans) == golden[f"host-burst-{pool}c"]
+
+
+class TestNodeDispatchSemantics:
     def test_dependencies_respected_in_trace(self):
         farm = _model_farm()
         graph = build_model("transformer-tiny")
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("t", graph),))], seed=0).burst(2)
-        simulator = ServingSimulator(n_clusters=3, farm=farm,
-                                     keep_trace=True)
-        simulator.simulate(requests)
+        _, trace = _traced(requests, 3, farm)
         program = graph.lower(config=farm.config)
+        assert len(trace) == 2 * len(program.nodes)
         deps_of = {node.name: node.deps for node in program.nodes}
         finished = {}
-        for record in simulator.trace:
+        for record in trace:
             finished[(record.request_id, record.node)] = record.end_cycle
-        for record in simulator.trace:
+        for record in trace:
             for dep in deps_of[record.node]:
                 assert record.start_cycle >= \
                     finished[(record.request_id, dep)]
@@ -170,7 +285,7 @@ class TestSchedulerSemantics:
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("m", graph),))], seed=0).burst(2)
         serial = int(farm.time_program(graph.lower(config=farm.config)).cycles)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        report = _node_server(2, farm).simulate(requests)
         assert report.makespan_cycles == serial
         assert report.completed == 2
 
@@ -180,26 +295,24 @@ class TestSchedulerSemantics:
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("m", graph),))], seed=0).burst(2)
         serial = int(farm.time_program(graph.lower(config=farm.config)).cycles)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        report = _node_server(2, farm).simulate(requests)
         # The training graph has dw/dx parallelism, so the pool is never
         # idle (busy cycles account for every cycle of work) and the
         # makespan lands strictly between the one-request serial time and
         # the fully-serialised two requests.
         assert serial <= report.makespan_cycles < 2 * serial
-        assert sum(report.busy_cycles) == 2 * serial
+        assert report.busy_cycles == 2 * serial
 
     def test_no_cluster_runs_two_nodes_at_once(self):
-        farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(4)
-        simulator = ServingSimulator(n_clusters=2, farm=farm,
-                                     keep_trace=True)
-        simulator.simulate(requests)
+        _, trace = _traced(requests, 2)
         per_cluster = {}
-        for record in simulator.trace:
+        for record in trace:
             if record.cluster < 0:
                 continue  # elementwise nodes run host-side, off the pool
             per_cluster.setdefault(record.cluster, []).append(
                 (record.start_cycle, record.end_cycle))
+        assert set(per_cluster) == {0, 1}
         for spans in per_cluster.values():
             spans.sort()
             for (_, end), (start, _) in zip(spans, spans[1:]):
@@ -210,10 +323,8 @@ class TestSchedulerSemantics:
         graph = build_model("mlp-tiny")
         late = [Request(request_id=0, tenant="t", model="m", graph=graph,
                         arrival_cycle=10_000)]
-        simulator = ServingSimulator(n_clusters=1, farm=farm,
-                                     keep_trace=True)
-        report = simulator.simulate(late)
-        assert min(r.start_cycle for r in simulator.trace) >= 10_000
+        report, trace = _traced(late, 1, farm)
+        assert min(r.start_cycle for r in trace) >= 10_000
         serial = int(farm.time_program(graph.lower(config=farm.config)).cycles)
         assert report.latency.max == serial  # waited for nothing else
 
@@ -222,8 +333,8 @@ class TestSchedulerSemantics:
         requests = RequestGenerator(
             [_tenant("a", rps=300.0), _tenant("b", rps=300.0)],
             seed=5).generate(0.05)
-        first = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
-        second = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        first = _node_server(2, farm).simulate(requests)
+        second = _node_server(2, farm).simulate(requests)
         assert first.makespan_cycles == second.makespan_cycles
         assert first.latency == second.latency
 
@@ -232,10 +343,9 @@ class TestSchedulerSemantics:
         graph = mlp_training_graph((8, 6, 4), batch=2, name="tiny")
         requests = [Request(request_id=0, tenant="t", model="m",
                             graph=graph, arrival_cycle=0)]
-        base = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
-        priced = ServingSimulator(
-            n_clusters=1, farm=farm,
-            elementwise_cycles_per_element=2.0).simulate(requests)
+        base = _node_server(1, farm).simulate(requests)
+        priced = _node_server(
+            1, farm, elementwise_cycles_per_element=2.0).simulate(requests)
         program = graph.lower(config=farm.config)
         elementwise = sum(node.elements for node in program.nodes
                           if not node.is_gemm)
@@ -247,10 +357,9 @@ class TestSchedulerSemantics:
         graph = build_model("mlp-tiny")
         requests = [Request(request_id=0, tenant="t", model="m",
                             graph=graph, arrival_cycle=0)]
-        base = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
-        priced = ServingSimulator(n_clusters=1, farm=farm,
-                                  offload_cycles_per_job=30.0
-                                  ).simulate(requests)
+        base = _node_server(1, farm).simulate(requests)
+        priced = _node_server(1, farm,
+                              offload_cycles_per_job=30.0).simulate(requests)
         program = graph.lower(config=farm.config)
         assert priced.makespan_cycles == \
             base.makespan_cycles + 30 * program.n_jobs
@@ -262,60 +371,90 @@ class TestSchedulerSemantics:
         graph = build_model("mlp-tiny")
         requests = RequestGenerator(
             [_tenant(models=(ModelSpec("m", graph),))], seed=0).burst(2)
-        simulator = ServingSimulator(n_clusters=1, farm=farm,
-                                     elementwise_cycles_per_element=50.0,
-                                     keep_trace=True)
-        report = simulator.simulate(requests)
+        report, trace = _traced(requests, 1, farm,
+                                elementwise_cycles_per_element=50.0)
         program = graph.lower(config=farm.config)
-        host = [r for r in simulator.trace if r.cluster == -1]
+        host = [r for r in trace if r.cluster == -1]
         assert {r.node for r in host} == {n.name for n in program.nodes
                                           if not n.is_gemm}
         # Cluster busy cycles account for accelerator work only, so with
         # one cluster and two requests the pool is saturated: while one
         # request sits in its host-side relu, the other's GEMMs run.
         serial_gemm = int(farm.time_program(program).cycles)
-        assert report.busy_cycles == [2 * serial_gemm]
+        assert report.busy_cycles == 2 * serial_gemm
         assert report.makespan_cycles < 2 * int(
             serial_gemm + 50 * sum(n.elements for n in program.nodes
                                    if not n.is_gemm))
 
-    def test_program_cache_keyed_by_graph_identity(self):
+    def test_service_memo_keyed_by_graph_identity(self):
         farm = _model_farm()
-        simulator = ServingSimulator(n_clusters=1, farm=farm)
+        server = _node_server(1, farm)
         graph_a = build_model("mlp-tiny")
-        simulator.simulate([Request(request_id=0, tenant="t", model="a",
-                                    graph=graph_a, arrival_cycle=0)])
-        # The simulator retains the graph, so a dropped caller reference
-        # cannot let a recycled object id alias a different model.
-        assert graph_a in simulator._programs
         graph_b = build_model("conv-tiny")
-        report = simulator.simulate([Request(request_id=0, tenant="t",
-                                             model="b", graph=graph_b,
-                                             arrival_cycle=0)])
+        report = server.simulate([
+            Request(request_id=0, tenant="t", model="a", graph=graph_a,
+                    arrival_cycle=0),
+            Request(request_id=1, tenant="t", model="b", graph=graph_b,
+                    arrival_cycle=0)])
+        # The memo retains each graph, so a dropped caller reference cannot
+        # let a recycled object id alias a different model.
+        fmt = farm.config.format
+        assert set(server._service) == {(graph_a, fmt), (graph_b, fmt)}
+        serial_a = farm.time_program(graph_a.lower(config=farm.config))
         serial_b = farm.time_program(graph_b.lower(config=farm.config))
-        assert report.makespan_cycles == int(serial_b.cycles)
-        assert len(simulator._programs) == 2
+        assert server._service[(graph_b, fmt)].cycles == int(serial_b.cycles)
+        assert report.busy_cycles == \
+            int(serial_a.cycles) + int(serial_b.cycles)
 
     def test_cache_reuse_across_simulations(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(2)
-        ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
-        warm = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        _node_server(1, farm).simulate(requests)
+        warm = _node_server(1, farm).simulate(requests)
         assert warm.cache_misses == 0
         assert warm.cache_hit_rate == 1.0
 
     def test_empty_request_list(self):
-        report = ServingSimulator(n_clusters=2,
-                                  farm=_model_farm()).simulate([])
+        report = _node_server(2).simulate([])
         assert report.completed == 0
         assert report.makespan_cycles == 0
-        assert report.utilisation == [0.0, 0.0]
+        assert report.utilisation == 0.0
+
+    def test_out_of_order_eager_list_is_rejected(self):
+        graph = build_model("mlp-tiny")
+        requests = [Request(request_id=i, tenant="t", model="m", graph=graph,
+                            arrival_cycle=arrival)
+                    for i, arrival in enumerate((100, 50))]
+        with pytest.raises(ValueError, match="arrival order"):
+            _node_server(1).simulate(requests)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ServingSimulator(n_clusters=0, farm=_model_farm())
+            _node_server(0)
         with pytest.raises(ValueError):
-            ServingSimulator(farm=_model_farm(), offload_cycles_per_job=-1)
+            _node_server(1, offload_cycles_per_job=-1)
+        with pytest.raises(ValueError, match="unknown dispatch"):
+            ContinuousServer(farm=_model_farm(), dispatch="wave")
+
+    @pytest.mark.parametrize("knob", [
+        {"admission": AdmissionPolicy(max_queue=4)},
+        {"autoscaler": AutoscalePolicy()},
+        {"batch_cap": 2},
+    ])
+    def test_rejected_combinations(self, knob):
+        with pytest.raises(ValueError, match="node dispatch"):
+            _node_server(1, **knob)
+
+    def test_decode_requests_and_resizes_are_rejected(self):
+        server = _node_server(1)
+        session = DecodeSessionSpec(spec=build_decode_spec("llm-decode-tiny"),
+                                    prefill=1, decode_steps=1)
+        with pytest.raises(ValueError, match="node dispatch"):
+            server.offer(Request(request_id=0, tenant="t",
+                                 model=session.model, graph=None,
+                                 arrival_cycle=0, decode=session))
+        with pytest.raises(ValueError, match="node dispatch"):
+            server.force_scale(1)
 
 
 class TestEngineBackend:
@@ -324,7 +463,7 @@ class TestEngineBackend:
         graph = mlp_training_graph((8, 4), batch=2, name="micro")
         requests = [Request(request_id=0, tenant="t", model="micro",
                             graph=graph, arrival_cycle=0)]
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(requests)
+        report = _node_server(1, farm).simulate(requests)
         serial = farm.time_program(graph.lower(config=farm.config))
         assert report.makespan_cycles == int(serial.cycles) > 0
 
@@ -360,7 +499,7 @@ class TestReport:
                                               build_model("conv-tiny")),)),
         ]
         requests = RequestGenerator(tenants, seed=0).burst(3)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
+        report = _node_server(2, farm).simulate(requests)
         assert set(report.tenants) == {"alpha", "beta"}
         assert report.tenants["alpha"].completed == 3
         assert report.models == {"mlp-tiny": 3, "conv-tiny": 3}
@@ -369,16 +508,14 @@ class TestReport:
     def test_utilisation_bounds(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(6)
-        report = ServingSimulator(n_clusters=3, farm=farm).simulate(requests)
-        assert len(report.utilisation) == 3
-        assert all(0.0 <= u <= 1.0 for u in report.utilisation)
-        assert 0.0 <= report.mean_utilisation <= 1.0
+        report = _node_server(3, farm).simulate(requests)
+        assert 0.0 < report.utilisation <= 1.0
+        assert report.busy_cycles <= 3 * report.makespan_cycles
 
     def test_render_mentions_the_headline_numbers(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(2)
-        report = ServingSimulator(n_clusters=1, farm=farm).simulate(
-            requests, scenario="demo")
+        report = _node_server(1, farm).simulate(requests, scenario="demo")
         text = report.render()
         assert "demo" in text
         assert "p95" in text
@@ -388,9 +525,11 @@ class TestReport:
     def test_throughput_metrics(self):
         farm = _model_farm()
         requests = RequestGenerator([_tenant()], seed=0).burst(4)
-        report = ServingSimulator(n_clusters=2, farm=farm).simulate(requests)
-        assert report.throughput_per_mcycle == pytest.approx(
-            4 * 1e6 / report.makespan_cycles)
+        report = _node_server(2, farm).simulate(requests)
+        per_mcycle = report.completed * 1e6 / report.makespan_cycles
+        assert per_mcycle == pytest.approx(4 * 1e6 / report.makespan_cycles)
+        assert report.throughput_rps == pytest.approx(
+            per_mcycle * report.frequency_hz / 1e6)
         assert report.throughput_rps > 0
 
 
@@ -525,15 +664,14 @@ class TestContinuousServer:
                        precision=precision)
 
     def _serial(self, farm, graph, precision=None):
-        timing = (derive_precision_farm(farm, precision)
-                  if precision else farm)
+        timing = farm.with_format(precision or farm.config.format)
         program = graph.lower(config=timing.config)
         return int(round(timing.time_program(program).cycles))
 
     @pytest.mark.parametrize("model", ["mlp-tiny", "autoencoder-b16"])
     def test_conservation_single_request(self, model):
         """One cluster x one request == the serial farm makespan -- the
-        wave scheduler's conservation law holds on the continuous loop."""
+        conservation law holds under atomic dispatch."""
         farm = _model_farm()
         graph = build_model(model)
         server = ContinuousServer(n_clusters=1, farm=farm, backend="model")

@@ -229,7 +229,8 @@ class ServeLoopMachine(RuleBasedStateMachine):
                 server.scale_ups, server.scale_downs,
                 server._overall.count, server._overall.total,
                 server._overall.max, dict(server.rejection_reasons),
-                dict(server._models), sorted(server._service.values()))
+                dict(server._models),
+                sorted(service.cycles for service in server._service.values()))
 
     @rule(model=st.sampled_from(sorted(_SERVE_GRAPHS)),
           precision=st.sampled_from([None, "fp8-e4m3"]),
@@ -280,10 +281,11 @@ class ServeLoopMachine(RuleBasedStateMachine):
         if not hasattr(self, "server"):
             return
         server = self.server
-        for key, cycles in server._service.items():
-            program = server._programs[key]
-            farm = server._farms[key[1]]
-            assert cycles == int(round(farm.time_program(program).cycles))
+        for (_, effective), service in server._service.items():
+            farm = server.farm.with_format(effective)
+            assert service.program.precision == effective
+            assert service.cycles == int(round(
+                farm.time_program(service.program).cycles))
 
     @invariant()
     def replay_is_deterministic(self):
@@ -418,7 +420,7 @@ class DecodeSessionMachine(RuleBasedStateMachine):
             return
         server = self.server
         for (spec, effective, position), cycles in server._decode_full.items():
-            farm = server._farms[effective]
+            farm = server.farm.with_format(effective)
             program = decode_step_graph(spec, position).lower(
                 config=farm.config)
             assert cycles == int(round(
