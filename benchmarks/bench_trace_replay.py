@@ -1,18 +1,13 @@
-"""Benchmark -- trace-compiled engine: record once, replay vectorized.
+"""Benchmark -- the vectorised engine path against the scalar oracle.
 
-The acceptance bar of the trace-compilation refactor: on fig3/fig4-class
-multi-tile jobs whose schedules are already recorded, the ``trace`` backend
-must be at least 20x faster in wall-clock than the event-stepped
-``exact-simd`` engine while staying **bit-identical** -- same TCDM result
+``exact-simd`` steps the engine's cycle schedule as a value-free control
+plane and computes each job's Z matrix in one vectorised data-plane call
+(:func:`repro.redmule.vector_ops.replay_dataplane`).  This bench gates the
+property that split rests on: in every supported element format the result
+is **bit-identical** to the scalar ``exact`` engine -- same TCDM result
 image, same cycle counts, and (checked at the data-plane level) the same
-accumulated IEEE exception flags as the scalar oracle.
-
-The job data changes every repetition (fresh random seeds) while the traces
-are reused, demonstrating the core property the refactor rests on: the cycle
-schedule is data-independent, only the data plane needs to run.
+accumulated IEEE exception flags as the scalar FMA chain.
 """
-
-import time
 
 import numpy as np
 
@@ -21,95 +16,38 @@ from repro.farm import config_key, run_functional_job
 from repro.fp.flags import ExceptionFlags
 from repro.fp.formats import fma_bits, get_format
 from repro.redmule.config import RedMulEConfig
-from repro.redmule.trace import replay_dataplane, reset_shared_trace_stores
-
-#: Fig. 3c/3d & Fig. 4a-class square multi-tile job (within the farm's
-#: engine-eligibility threshold) measured for the headline speedup.
-SHAPE = (64, 64, 64)
-
-#: Warm repetitions per backend; every repetition uses fresh operand data.
-REPEATS = 4
-
-#: Required warm-replay wall-clock advantage over the event-stepped engine.
-MIN_SPEEDUP = 20.0
+from repro.redmule.vector_ops import replay_dataplane
 
 FORMATS = ["fp16", "bf16", "fp8-e4m3", "fp8-e5m2"]
 
 
-def _run(arithmetic, seed, fmt="fp16"):
-    key = config_key(RedMulEConfig(format=fmt))
-    start = time.perf_counter()
-    cycles, z_image = run_functional_job(key, *SHAPE, False, arithmetic,
-                                         seed=seed)
-    return time.perf_counter() - start, cycles, z_image
-
-
-def test_trace_replay(benchmark):
-    def run_all():
-        reset_shared_trace_stores()
-        _run("trace", seed=99)  # cold run records the schedules
-        rows = []
-        for rep in range(REPEATS):
-            simd_s, simd_cycles, simd_bits = _run("exact-simd", seed=rep)
-            trace_s, trace_cycles, trace_bits = _run("trace", seed=rep)
-            assert trace_bits == simd_bits, f"bit mismatch at seed {rep}"
-            assert trace_cycles == simd_cycles
-            rows.append((rep, simd_cycles, simd_s, trace_s,
-                         simd_s / trace_s))
-        return rows
-
-    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-
-    print_series(
-        f"Trace replay vs event-stepped engine -- {SHAPE} fp16, fresh data "
-        "per repetition",
-        ["rep", "cycles", "exact-simd [s]", "trace [s]", "speedup"],
-        [(rep, cycles, f"{simd_s:.3f}", f"{trace_s:.4f}", f"{speedup:.1f}x")
-         for rep, cycles, simd_s, trace_s, speedup in rows],
-    )
-
-    total_simd = sum(row[2] for row in rows)
-    total_trace = sum(row[3] for row in rows)
-    overall = total_simd / total_trace
-    record_info(benchmark, {
-        "replay_speedup": overall,
-        "engine_cycles": rows[0][1],
-        "bit_mismatches": 0,
-    })
-    assert overall >= MIN_SPEEDUP, (
-        f"trace replay speedup {overall:.2f}x below the required "
-        f"{MIN_SPEEDUP:.1f}x"
-    )
-
-
 def test_trace_replay_bit_match_all_formats(benchmark):
-    """Warm trace replay leaves bit-identical TCDM images and cycle counts
-    in every supported element format."""
+    """The vectorised engine leaves the scalar oracle's TCDM image and
+    cycle count in every supported element format (multi-tile, ragged
+    inner dimension)."""
     shape = (16, 40, 24)
 
     def run_all():
-        reset_shared_trace_stores()
         mismatches = 0
         rows = []
         for fmt in FORMATS:
             key = config_key(RedMulEConfig(format=fmt))
+            exact_cycles, exact_bits = run_functional_job(
+                key, *shape, False, "exact", seed=7)
             simd_cycles, simd_bits = run_functional_job(
                 key, *shape, False, "exact-simd", seed=7)
-            run_functional_job(key, *shape, False, "trace", seed=3)  # record
-            trace_cycles, trace_bits = run_functional_job(
-                key, *shape, False, "trace", seed=7)  # warm replay
-            match = trace_bits == simd_bits and trace_cycles == simd_cycles
+            match = simd_bits == exact_bits and simd_cycles == exact_cycles
             mismatches += 0 if match else 1
-            rows.append((fmt, simd_cycles, trace_cycles, match))
+            rows.append((fmt, exact_cycles, simd_cycles, match))
         return mismatches, rows
 
     mismatches, rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     print_series(
-        f"Trace replay bit match per element format -- {shape}",
-        ["format", "exact-simd cycles", "trace cycles", "bit-identical"],
-        [(fmt, sc, tc, "yes" if ok else "NO")
-         for fmt, sc, tc, ok in rows],
+        f"Vectorised engine bit match per element format -- {shape}",
+        ["format", "exact cycles", "exact-simd cycles", "bit-identical"],
+        [(fmt, ec, sc, "yes" if ok else "NO")
+         for fmt, ec, sc, ok in rows],
     )
     record_info(benchmark, {"format_bit_mismatches": mismatches,
                             "formats_checked": len(rows)})
@@ -117,34 +55,30 @@ def test_trace_replay_bit_match_all_formats(benchmark):
 
 
 def test_replay_dataplane_flag_parity(benchmark):
-    """The vectorized data plane accumulates the same IEEE exception flags
+    """The vectorised data plane accumulates the same IEEE exception flags
     as the scalar FMA chain (checked on an overflow/inexact-rich batch)."""
     fmt = get_format("fp16")
     rng = np.random.default_rng(13)
-    rows_n, cols_n, steps = 4, 8, 16
-    x_bits = rng.integers(0, 1 << 16, (2, rows_n, steps), dtype=np.uint32)
-    w_bits = rng.integers(0, 1 << 16, (2, steps, cols_n), dtype=np.uint32)
-    acc_bits = np.zeros((2, rows_n, cols_n), dtype=np.uint32)
-    mask = np.ones(steps, dtype=bool)
+    rows_n, cols_n, steps = 8, 8, 16
+    x_bits = rng.integers(0, 1 << 16, (rows_n, steps), dtype=np.uint32)
+    w_bits = rng.integers(0, 1 << 16, (steps, cols_n), dtype=np.uint32)
+    acc_bits = np.zeros((rows_n, cols_n), dtype=np.uint32)
 
     def run():
         flags = ExceptionFlags()
-        out = replay_dataplane(x_bits, w_bits, acc_bits, mask, fmt,
-                               flags=flags)
+        out = replay_dataplane(x_bits, w_bits, acc_bits, fmt, flags=flags)
         return out, flags
 
     out, flags = benchmark.pedantic(run, rounds=1, iterations=1)
 
     want_flags = ExceptionFlags()
-    for t in range(2):
-        for r in range(rows_n):
-            for c in range(cols_n):
-                acc = 0
-                for s in range(steps):
-                    acc = fma_bits(int(x_bits[t, r, s]),
-                                   int(w_bits[t, s, c]), acc, fmt,
-                                   flags=want_flags)
-                assert int(out[t, r, c]) == acc
+    for r in range(rows_n):
+        for c in range(cols_n):
+            acc = 0
+            for s in range(steps):
+                acc = fma_bits(int(x_bits[r, s]), int(w_bits[s, c]), acc,
+                               fmt, flags=want_flags)
+            assert int(out[r, c]) == acc
     assert flags.to_fflags() == want_flags.to_fflags()
     record_info(benchmark, {
         "flag_parity": 1.0 if flags.to_fflags() == want_flags.to_fflags()

@@ -117,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=VECTOR_OPS_BACKENDS,
         default=None,
         help="arithmetic backend of the farm's cycle-accurate engine "
-        "runs, all bit-exact (exact: scalar oracle; exact-simd: vectorised, "
-        "the default; trace: exact-simd with schedule record/replay -- "
-        "repeated tile shapes skip the event-stepped loop entirely)",
+        "runs, both bit-exact (exact: scalar oracle; exact-simd: the "
+        "default, a value-free control plane plus one vectorised data-plane "
+        "call per job)",
     )
     parser.add_argument(
         "--format",

@@ -15,6 +15,7 @@ from repro.farm.cache import (
     BACKEND_MODEL,
     CacheStats,
     TimingCache,
+    TimingCacheError,
     TimingKey,
     TimingRecord,
     config_key,
@@ -58,6 +59,7 @@ __all__ = [
     "PoolUnavailableError",
     "SimulationFarm",
     "TimingCache",
+    "TimingCacheError",
     "TimingKey",
     "TimingRecord",
     "ValidationReport",

@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
@@ -36,11 +36,11 @@ from repro.redmule.job import MatmulJob
 #: support changes line geometry and cycle counts), so v2 keys -- which
 #: implicitly meant FP16 -- can no longer be told apart from other
 #: precisions and must not be reloaded.
-#: v4: an optional ``traces`` side-table carries recorded engine schedule
-#: traces (:mod:`repro.redmule.trace`) keyed by config tag.  Older files
-#: stay loadable -- the timing-record schema is unchanged since v3 (and v2
-#: keys decode by appending the implicit "fp16" format) -- their traces are
-#: simply absent.
+#: v4: an optional ``traces`` side-table carried recorded engine schedule
+#: traces.  The engine no longer replays schedules, so the side-table is
+#: ignored on load (v4 and v5 files that carry one still load).  The
+#: timing-record schema is unchanged since v3 (and v2 keys decode by
+#: appending the implicit "fp16" format).
 #: v5: timing keys lost the ``exact`` field (every arithmetic backend is
 #: bit-exact and timing never depended on it).  v2-v4 files load with the
 #: field dropped.
@@ -48,6 +48,11 @@ CACHE_FILE_VERSION = 5
 
 #: Cache-file versions :meth:`TimingCache.load` can decode.
 _LOADABLE_VERSIONS = (2, 3, 4, CACHE_FILE_VERSION)
+
+
+class TimingCacheError(ValueError):
+    """A timing-cache file whose payload cannot be decoded."""
+
 
 #: Backend tags used in cache keys and records.
 BACKEND_ENGINE = "engine"
@@ -218,10 +223,6 @@ class TimingCache:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
         self.max_entries = max_entries
         self._entries: OrderedDict[TimingKey, TimingRecord] = OrderedDict()
-        #: Engine schedule-trace payloads keyed by config tag
-        #: (:func:`repro.redmule.trace.trace_tag`); persisted alongside the
-        #: timing entries so a warm cache also warms the trace stores.
-        self.traces: dict = {}
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -282,8 +283,6 @@ class TimingCache:
             for key, record in self._entries.items()
         ]
         payload = {"version": CACHE_FILE_VERSION, "entries": entries}
-        if self.traces:
-            payload["traces"] = self.traces
         tmp_path = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp_path, "w", encoding="utf-8") as handle:
@@ -305,42 +304,53 @@ class TimingCache:
 
         Legacy files stay decodable: v2-v4 keys drop their ``exact``
         field, and two records that differed only in it merge into one
-        entry (``ValueError`` if their timings disagree); v3 files load with
-        their traces absent (the side-table did not exist yet), and v2
-        files additionally get the implicit ``"fp16"`` format appended to
-        their five-field config keys (every v2-era record was binary16).
-        v1 files are still rejected -- their model records predate the
-        bit-exact analytical model and carry stale cycle counts.
+        entry; v2 files additionally get the implicit ``"fp16"`` format
+        appended to their five-field config keys (every v2-era record was
+        binary16).  A ``traces`` side-table (v4/v5) is ignored.  v1 files
+        are still rejected -- their model records predate the bit-exact
+        analytical model and carry stale cycle counts.
+
+        A malformed payload -- not a JSON object, an unsupported version, a
+        missing or unknown key or record field, or two entries with
+        conflicting timings for one key -- raises :class:`TimingCacheError`
+        naming the file and the entry index, and leaves the cache untouched.
         """
+        where = os.fspath(path)
         with open(path, encoding="utf-8") as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise TimingCacheError(
+                f"timing-cache file {where!r}: payload is a "
+                f"{type(payload).__name__}, not an object")
         version = payload.get("version")
         if version not in _LOADABLE_VERSIONS:
-            raise ValueError(
-                f"unsupported timing-cache file version {version!r} "
-                f"(expected one of {_LOADABLE_VERSIONS})"
+            raise TimingCacheError(
+                f"timing-cache file {where!r}: unsupported version "
+                f"{version!r} (expected one of {_LOADABLE_VERSIONS})"
             )
+        entries = payload.get("entries")
+        if not isinstance(entries, list):
+            raise TimingCacheError(
+                f"timing-cache file {where!r}: 'entries' is missing or not "
+                "a list")
         loaded: Dict[TimingKey, TimingRecord] = {}
-        for entry in payload["entries"]:
-            raw_key = dict(entry["key"])
-            if version < 5:
-                raw_key.pop("exact", None)
-            config = tuple(raw_key["config"])
-            if version == 2 and len(config) == 5:
-                config = config + ("fp16",)
-            raw_key["config"] = config
-            key = TimingKey(**raw_key)
-            record = TimingRecord(**entry["record"])
-            if loaded.setdefault(key, record) != record:
-                raise ValueError(
-                    f"timing-cache file {os.fspath(path)!r} holds conflicting "
-                    f"records for {key}: {loaded[key]} vs {record}"
+        for index, entry in enumerate(entries):
+            try:
+                key, record = _decode_entry(entry, version)
+                previous = loaded.setdefault(key, record)
+            except (TypeError, ValueError) as error:
+                raise TimingCacheError(
+                    f"timing-cache file {where!r}, entry {index}: {error}"
+                ) from error
+            if previous != record:
+                raise TimingCacheError(
+                    f"timing-cache file {where!r}, entry {index}: "
+                    f"conflicting records for {key}: {previous} vs {record}"
                 )
         if not merge:
             self.clear()
         for key, record in loaded.items():
             self.store(key, record)
-        self.traces.update(payload.get("traces", {}))
         return len(loaded)
 
     def describe(self) -> str:
@@ -350,3 +360,35 @@ class TimingCache:
             f"{self.stats.misses} misses ({100 * self.stats.hit_rate:.1f}% "
             "hit rate)"
         )
+
+
+_KEY_FIELDS = tuple(field.name for field in fields(TimingKey))
+_RECORD_FIELDS = tuple(field.name for field in fields(TimingRecord))
+
+
+def _decode_entry(entry, version: int) -> Tuple[TimingKey, TimingRecord]:
+    """Decode one cache-file entry; ``ValueError`` names what is malformed."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"entry is a {type(entry).__name__}, not an object")
+    raw_key = _fields(entry, "key", _KEY_FIELDS,
+                      ignored=("exact",) if version < 5 else ())
+    config = tuple(raw_key["config"])
+    if version == 2 and len(config) == 5:
+        config = config + ("fp16",)
+    raw_key["config"] = config
+    record = _fields(entry, "record", _RECORD_FIELDS)
+    return TimingKey(**raw_key), TimingRecord(**record)
+
+
+def _fields(entry: dict, name: str, expected: Sequence[str],
+            ignored: Sequence[str] = ()) -> dict:
+    """The ``name`` object of ``entry``, checked to hold exactly ``expected``."""
+    raw = entry.get(name)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name!r} is missing or not an object")
+    raw = {field: value for field, value in raw.items() if field not in ignored}
+    missing = [field for field in expected if field not in raw]
+    unknown = sorted(set(raw) - set(expected))
+    if missing or unknown:
+        raise ValueError(f"{name} fields: missing {missing}, unknown {unknown}")
+    return raw

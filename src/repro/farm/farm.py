@@ -41,12 +41,7 @@ from repro.farm.cache import (
 from repro.farm.workers import run_functional_job, simulate_key
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
-from repro.redmule.trace import shared_trace_store, trace_tag
-from repro.redmule.vector_ops import (
-    DEFAULT_BACKEND,
-    backend_schedule_compiled,
-    validate_backend_name,
-)
+from repro.redmule.vector_ops import DEFAULT_BACKEND, validate_backend_name
 from repro.workloads.gemm import GemmShape
 
 #: Backend *policy* name routing every job to the analytical model.  Unlike
@@ -232,13 +227,9 @@ class SimulationFarm:
         Architectural configuration of the simulated instances (the paper's
         reference instance when omitted).
     arithmetic:
-        Vector-ops backend the engine simulates with (``"exact"``,
-        ``"exact-simd"`` -- the default -- or the schedule-compiling
-        ``"trace"``).  Every backend is bit-exact and timing never depends
-        on the choice, so it is not part of the cache key.  ``"trace"``
-        engines share one per-process trace store per configuration, so
-        worker processes and repeated batches replay schedules recorded
-        earlier (see :meth:`save_cache` for cross-process persistence).
+        Vector-ops backend the engine simulates with (``"exact"`` or
+        ``"exact-simd"``, the default).  Both are bit-exact and timing
+        never depends on the choice, so it is not part of the cache key.
     backend:
         ``"auto"`` (default) routes each job by size, ``"engine"`` or
         ``"model"`` forces one backend for every request; ``"analytic"``
@@ -653,12 +644,8 @@ class SimulationFarm:
         Together with :meth:`load_cache` this lets repeated benchmark
         invocations reuse timing across processes: the records are
         deterministic per (configuration, shape, backend), so a reloaded
-        entry is indistinguishable from a fresh simulation.  On a
-        schedule-compiled farm (``arithmetic="trace"``) the recorded engine
-        schedule traces of this configuration ride along in the file's
-        ``traces`` side-table, so a later process starts replay-warm.
+        entry is indistinguishable from a fresh simulation.
         """
-        self._export_traces()
         count = self.cache.save(path)
         obs = _telemetry_active()
         if obs.enabled:
@@ -668,36 +655,14 @@ class SimulationFarm:
         return count
 
     def load_cache(self, path, merge: bool = True) -> int:
-        """Load a persisted timing cache (see :meth:`TimingCache.load`).
-
-        Trace payloads found in the file are merged into the process-wide
-        trace store of this farm's configuration when the farm's arithmetic
-        is schedule-compiled.
-        """
+        """Load a persisted timing cache (see :meth:`TimingCache.load`)."""
         loaded = self.cache.load(path, merge=merge)
-        self._import_traces()
         obs = _telemetry_active()
         if obs.enabled:
             obs.instant("farm.cache_load", track="farm", lane="cache",
                         cat="farm", path=str(path), entries=loaded)
             obs.count("farm.cache_loads")
         return loaded
-
-    def _export_traces(self) -> None:
-        """Snapshot this config's shared trace store into the cache payload."""
-        if not backend_schedule_compiled(self.arithmetic):
-            return
-        store = shared_trace_store(self.config)
-        if len(store):
-            self.cache.traces[trace_tag(self.config)] = store.to_payload()
-
-    def _import_traces(self) -> None:
-        """Merge loaded trace payloads into this config's shared store."""
-        if not backend_schedule_compiled(self.arithmetic):
-            return
-        payload = self.cache.traces.get(trace_tag(self.config))
-        if payload:
-            shared_trace_store(self.config).merge_payload(payload)
 
     # -- validation ----------------------------------------------------------
     def validate_backends(

@@ -99,10 +99,7 @@ def simulate_engine_timing(
 
     ``arithmetic`` names the vector-ops backend to simulate with.  The
     choice never changes the record (timing is arithmetic-independent),
-    only the wall-clock cost of producing it.  ``"trace"`` engines reuse
-    the per-process shared trace store of the configuration, so repeated
-    worker invocations in one pool process replay schedules recorded by
-    earlier keys.
+    only the wall-clock cost of producing it.
     """
     engine, job, _ = _build_job(key, m, n, k, accumulate, arithmetic)
     result = engine.run_job(job, max_cycles=max_cycles)

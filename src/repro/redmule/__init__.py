@@ -15,8 +15,9 @@ coupled FP16 matrix-multiplication accelerator.  It contains
 * the register file + controller (:mod:`repro.redmule.controller`),
 * the cycle-accurate engine that ties everything together
   (:mod:`repro.redmule.engine`),
-* trace compilation of the engine's cycle schedules -- record once, replay
-  the data plane vectorized (:mod:`repro.redmule.trace`),
+* the arithmetic strategies the engine runs on: the scalar bit-exact
+  oracle and a value-free control plane plus one vectorised data-plane call
+  per job (:mod:`repro.redmule.vector_ops`),
 * a closed-form performance model validated against the engine
   (:mod:`repro.redmule.perf_model`), and
 * golden functional references (:mod:`repro.redmule.functional`).
@@ -42,21 +43,14 @@ from repro.redmule.functional import (
     matmul_hw_order_simd_fmt,
     matmul_reference_fp32,
 )
-from repro.redmule.trace import (
-    ScheduleTrace,
-    TraceStore,
-    replay_dataplane,
-    reset_shared_trace_stores,
-    shared_trace_store,
-)
 from repro.redmule.vector_ops import (
     DEFAULT_BACKEND,
     VECTOR_OPS_BACKENDS,
     ExactSimdVectorOps,
     ExactVectorOps,
-    TraceVectorOps,
     backend_schedule_compiled,
     make_vector_ops,
+    replay_dataplane,
 )
 
 __all__ = [
@@ -75,13 +69,10 @@ __all__ = [
     "RedMulEController",
     "RedMulEPerfModel",
     "RedMulEResult",
-    "ScheduleTrace",
     "Streamer",
     "StreamerStats",
     "Tile",
     "TileSchedule",
-    "TraceStore",
-    "TraceVectorOps",
     "VECTOR_OPS_BACKENDS",
     "WLineBuffer",
     "XBlockBuffer",
@@ -92,6 +83,4 @@ __all__ = [
     "matmul_hw_order_simd_fmt",
     "matmul_reference_fp32",
     "replay_dataplane",
-    "reset_shared_trace_stores",
-    "shared_trace_store",
 ]

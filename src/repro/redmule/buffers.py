@@ -175,10 +175,6 @@ class ZStoreBuffer:
         self.drains = 0
         #: Peak occupancy observed.
         self.max_occupancy = 0
-        #: Optional schedule recorder notified of pushes and drains
-        #: (``z_pushed`` / ``z_drained``); see
-        #: :class:`repro.redmule.trace.TileRecorder`.
-        self.observer = None
 
     @property
     def occupancy(self) -> int:
@@ -202,8 +198,6 @@ class ZStoreBuffer:
         self._queue.append(request)
         self.pushes += 1
         self.max_occupancy = max(self.max_occupancy, len(self._queue))
-        if self.observer is not None:
-            self.observer.z_pushed(request)
         return True
 
     def peek(self) -> Optional[ZStoreRequest]:
@@ -215,16 +209,4 @@ class ZStoreBuffer:
         if not self._queue:
             return None
         self.drains += 1
-        request = self._queue.popleft()
-        if self.observer is not None:
-            self.observer.z_drained(request)
-        return request
-
-    def snapshot(self) -> List[ZStoreRequest]:
-        """The queued stores, oldest first (not removed)."""
-        return list(self._queue)
-
-    def restore(self, entries: Sequence[ZStoreRequest]) -> None:
-        """Replace the queue wholesale (trace-replay boundary)."""
-        self._queue.clear()
-        self._queue.extend(entries)
+        return self._queue.popleft()

@@ -9,8 +9,9 @@ the last column), exactly reproducing the wiring of Fig. 2b.
 
 The datapath does not know about tiles, memory or stalls -- the engine decides
 when to issue what.  It only enforces structural legality (one issue per
-column per cycle, bounded pipeline depth) and evaluates the FP16 arithmetic
-through a :class:`~repro.redmule.vector_ops.VectorOps` strategy.
+column per cycle, bounded pipeline depth) and hands the arithmetic to a
+:class:`~repro.redmule.vector_ops.VectorOps` strategy (the engine sets the
+strategy per job; a value-free one makes the pipelines carry timing only).
 """
 
 from __future__ import annotations

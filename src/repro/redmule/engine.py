@@ -34,7 +34,6 @@ from repro.redmule.datapath import Datapath
 from repro.redmule.job import MatmulJob
 from repro.redmule.scheduler import Tile, TileSchedule
 from repro.redmule.streamer import Streamer, StreamRequest, StreamerStats
-from repro.redmule.trace import ReplaySession, TraceStore, shared_trace_store
 from repro.redmule.vector_ops import DEFAULT_BACKEND, make_vector_ops
 
 
@@ -88,7 +87,7 @@ class RedMulEResult:
 
 @dataclass
 class _JobState:
-    """Mutable per-job cycle accounting shared by event-stepping and replay."""
+    """Mutable per-job cycle accounting shared by the tile loop and the drain."""
 
     max_cycles: int
     total_cycles: int = 0
@@ -100,14 +99,11 @@ class RedMulE:
     """Cycle-accurate model of one RedMulE instance attached to an HCI.
 
     The arithmetic backend is selected by ``backend``, a name from the
-    vector-ops registry (``"exact"``, ``"exact-simd"`` or ``"trace"``); it
-    defaults to :data:`~repro.redmule.vector_ops.DEFAULT_BACKEND`.  Every
-    backend is bit-exact, so the choice only changes the simulation cost.
-
-    The ``"trace"`` backend record/replays compiled cycle schedules (see
-    :mod:`repro.redmule.trace`): traces live in the process-wide store of
-    this architectural configuration unless an explicit ``trace_store`` is
-    passed.
+    vector-ops registry (``"exact"`` or ``"exact-simd"``); it defaults to
+    :data:`~repro.redmule.vector_ops.DEFAULT_BACKEND`.  Both backends are
+    bit-exact and step the same control schedule cycle by cycle, so the
+    choice only changes the simulation cost (see
+    :mod:`repro.redmule.vector_ops`).
     """
 
     def __init__(
@@ -115,7 +111,6 @@ class RedMulE:
         config: Optional[RedMulEConfig] = None,
         hci: Optional[Hci] = None,
         backend: str = DEFAULT_BACKEND,
-        trace_store: Optional[TraceStore] = None,
     ) -> None:
         self.config = config if config is not None else RedMulEConfig.reference()
         if hci is None:
@@ -128,13 +123,6 @@ class RedMulE:
         self.datapath = Datapath(self.config, vector_ops=self.ops)
         self.controller = RedMulEController()
         self.streamer = Streamer(self.config, hci)
-        #: Schedule-trace store driving record/replay (None for plain backends).
-        self._trace_store: Optional[TraceStore] = None
-        if self.ops.schedule_compiled:
-            self._trace_store = (trace_store if trace_store is not None
-                                 else shared_trace_store(self.config))
-        #: The live :class:`~repro.redmule.trace.ReplaySession`, if any.
-        self._session: Optional[ReplaySession] = None
         #: Results of every job run on this instance.
         self.history: List[RedMulEResult] = []
 
@@ -216,6 +204,9 @@ class RedMulE:
         wbuf = WLineBuffer(cfg)
         zbuf = ZStoreBuffer(cfg)
         self.datapath.flush()
+        # The strategy that runs this job (the backend's, or the scalar one
+        # for jobs its data plane cannot serve); the datapath issues with it.
+        self.datapath.ops = self.ops.begin_job(self.tcdm, job)
         self.streamer.reset_stats()
         fma_issues_at_start = self.datapath.fma_issues
 
@@ -230,73 +221,43 @@ class RedMulE:
             for col in range(cfg.height)
         )
 
-        session: Optional[ReplaySession] = None
-        if self._trace_store is not None:
-            session = ReplaySession(self, job, schedule, zbuf, state,
-                                    self._trace_store)
-            if not session.supported:
-                session = None
-        self._session = session
-
-        # Per-tile spans are stamped in *engine cycles* on a per-job lane.
-        # Replay applies a tile's recorded timing in ``try_replay`` (only
-        # the data plane is deferred), so the tile boundaries -- and hence
-        # the exported timeline -- are identical between the event-stepped
-        # and trace-replay backends; only the ``replayed`` attribute tells
-        # them apart.  The disabled path costs one check per tile.
+        # Per-tile spans are stamped in *engine cycles* on a per-job lane,
+        # so the exported timeline is identical across backends.  The
+        # disabled path costs one check per tile.
         obs = _telemetry_active()
         monitor = obs.enabled
         if monitor:
             obs.declare_track("engine", "cycles")
             lane = f"job{len(self.history)}"
 
-        try:
-            for tile in schedule:
-                if monitor:
-                    tile_start = state.total_cycles
-                    stalls_before = state.stall_cycles
-                    active_before = state.active_cycles
-                replayed = session is not None and session.try_replay(tile)
-                if not replayed:
-                    if session is not None:
-                        # An event-stepped tile needs the real machine
-                        # state; materialise any deferred replays first.
-                        session.flush()
-                        recorder = session.begin_recording(tile)
-                    else:
-                        recorder = None
-                    self._run_tile(job, schedule, tile, xbuf, wbuf, zbuf,
-                                   w_need_order, state, recorder)
-                    if recorder is not None:
-                        session.commit_recording(tile, recorder)
-                if monitor:
-                    obs.complete_span(
-                        f"tile{tile.index}", tile_start, state.total_cycles,
-                        track="engine", lane=lane, cat="tile",
-                        rows=tile.rows, cols=tile.cols,
-                        stall_cycles=state.stall_cycles - stalls_before,
-                        active_cycles=state.active_cycles - active_before,
-                        replayed=replayed)
-            if session is not None:
-                session.flush()
+        for tile in schedule:
+            if monitor:
+                tile_start = state.total_cycles
+                stalls_before = state.stall_cycles
+                active_before = state.active_cycles
+            self._run_tile(job, schedule, tile, xbuf, wbuf, zbuf,
+                           w_need_order, state)
+            if monitor:
+                obs.complete_span(
+                    f"tile{tile.index}", tile_start, state.total_cycles,
+                    track="engine", lane=lane, cat="tile",
+                    rows=tile.rows, cols=tile.cols,
+                    stall_cycles=state.stall_cycles - stalls_before,
+                    active_cycles=state.active_cycles - active_before)
 
-            # Drain the remaining Z stores.
-            if monitor:
-                drain_start = state.total_cycles
-            while not zbuf.empty or self.streamer.busy:
-                state.total_cycles += 1
-                if state.total_cycles > state.max_cycles:
-                    raise RuntimeError(
-                        "simulation exceeded max_cycles during Z drain")
-                self._drain_zbuf(zbuf)
-                self.streamer.cycle()
-            if monitor:
-                obs.complete_span("z_drain", drain_start, state.total_cycles,
-                                  track="engine", lane=lane, cat="drain")
-        finally:
-            self._session = None
-            if session is not None:
-                session.close()
+        # Drain the remaining Z stores.
+        if monitor:
+            drain_start = state.total_cycles
+        while not zbuf.empty or self.streamer.busy:
+            state.total_cycles += 1
+            if state.total_cycles > state.max_cycles:
+                raise RuntimeError(
+                    "simulation exceeded max_cycles during Z drain")
+            self._drain_zbuf(zbuf)
+            self.streamer.cycle()
+        if monitor:
+            obs.complete_span("z_drain", drain_start, state.total_cycles,
+                              track="engine", lane=lane, cat="drain")
 
         result = RedMulEResult(
             job=job,
@@ -324,21 +285,14 @@ class RedMulE:
 
     def _run_tile(self, job: MatmulJob, schedule: TileSchedule, tile: Tile,
                   xbuf: XBlockBuffer, wbuf: WLineBuffer, zbuf: ZStoreBuffer,
-                  w_need_order, state: _JobState, recorder) -> None:
-        """Event-step one tile of the job (the original engine hot loop).
-
-        When ``recorder`` is given (trace backend, cold tile) every control
-        event of the tile -- streamer enqueues/completions via the observer
-        hooks, Z pushes/drains, and the datapath issues reported below -- is
-        captured so the schedule can be replayed for later tiles of the same
-        signature.
-        """
+                  w_need_order, state: _JobState) -> None:
+        """Event-step one tile of the job (the engine hot loop)."""
         cfg = self.config
         height, length = cfg.height, cfg.length
         latency, block_k = cfg.latency, cfg.block_k
         lanes = cfg.elements_per_slot
         epl = cfg.elements_per_line
-        ops = self.ops
+        ops = self.datapath.ops
         n_chunks = schedule.n_chunks
         n_blocks = schedule.n_blocks
         issue_end = (height - 1) * latency + n_chunks * block_k
@@ -380,8 +334,6 @@ class RedMulE:
                     y_lines[row] = zero_line_vec
 
         while True:
-            if recorder is not None:
-                recorder.begin_cycle()
             state.total_cycles += 1
             if state.total_cycles > state.max_cycles:
                 raise RuntimeError(
@@ -436,7 +388,7 @@ class RedMulE:
                 if t < issue_end:
                     issued = self._issue_cycle(
                         job, tile, xbuf, wbuf, x_current, feedback,
-                        completions, t, n_chunks, recorder,
+                        completions, t, n_chunks,
                     )
                     if issued:
                         state.active_cycles += 1
@@ -565,10 +517,10 @@ class RedMulE:
     def _issue_cycle(self, job: MatmulJob, tile: Tile, xbuf: XBlockBuffer,
                      wbuf: WLineBuffer, x_current: List[object],
                      feedback: List[object], completions: Dict[int, object],
-                     t: int, n_chunks: int, recorder=None) -> bool:
+                     t: int, n_chunks: int) -> bool:
         """Issue every active column for tile-time ``t``; returns True if any."""
         cfg = self.config
-        ops = self.ops
+        ops = self.datapath.ops
         issued = False
         for col in range(cfg.height):
             slot = t - col * cfg.latency
@@ -602,8 +554,6 @@ class RedMulE:
                 # accumulator passes through untouched (preserves -0 exactly
                 # like the hardware's gated FMA does).
                 self.datapath.issue_gated(col, chunk, k, acc)
-            if recorder is not None:
-                recorder.issue(col, chunk, k, n >= job.n)
             issued = True
 
             if k == cfg.block_k - 1:
@@ -619,16 +569,14 @@ class RedMulE:
                 zbuf: ZStoreBuffer, ops) -> None:
         """Convert the finished tile into Z line store requests.
 
-        The whole tile is transposed to per-row lines in one strategy call,
-        which is also where a lazily evaluating strategy materialises all of
-        the tile's accumulator chains in a single batch.  For packed formats
-        the tile covers ``lanes`` elements per slot, so only the slots whose
-        leading lane is architecturally valid are stored (the store request
-        then truncates the possibly half-valid last slot to ``tile.cols``
-        elements).
+        The strategy supplies the tile's per-row lines in one call.  For
+        packed formats the tile covers ``lanes`` elements per slot, so only
+        the slots whose leading lane is architecturally valid are passed on
+        (the store request then truncates the possibly half-valid last slot
+        to ``tile.cols`` elements).
         """
         n_slots = -(-tile.cols // self.config.elements_per_slot)
-        lines = ops.to_lines(z_tile[:n_slots])
+        lines = ops.tile_lines(tile, z_tile[:n_slots])
         for row in range(tile.rows):
             accepted = zbuf.push(
                 ZStoreRequest(

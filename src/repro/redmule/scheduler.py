@@ -114,19 +114,6 @@ class TileSchedule:
         """All tiles as a list."""
         return list(self)
 
-    def tile_signature(self, tile: Tile):
-        """The geometry that determines a tile's cycle schedule.
-
-        Two tiles with equal signatures run the exact same control schedule
-        (given equal entry state): the inner dimension fixes the chunk
-        count and gating pattern, ``accumulate`` adds the Y pre-load
-        traffic, and ``rows``/``cols`` set the X/Z line extents.  Position
-        (``m0``/``k0``) only changes addresses, which never affect timing on
-        an uncontended port.  This is the per-tile part of the trace key
-        used by :mod:`repro.redmule.trace`.
-        """
-        return (self.job.n, bool(self.job.accumulate), tile.rows, tile.cols)
-
     # -- accounting ----------------------------------------------------------------
     def tile_macs(self, tile: Tile) -> int:
         """Useful MACs of one tile (``rows * cols * N``)."""

@@ -107,10 +107,6 @@ class Streamer:
             "z": deque(),
         }
         self.stats = StreamerStats()
-        #: Optional schedule recorder notified of request enqueues and
-        #: completions (``stream_enqueued`` / ``stream_completed``); see
-        #: :class:`repro.redmule.trace.TileRecorder`.
-        self.observer = None
 
     # -- queue management -----------------------------------------------------
     def enqueue(self, request: StreamRequest) -> None:
@@ -120,18 +116,6 @@ class Streamer:
         if request.write and request.payload_bits is None:
             raise ValueError("store request without payload")
         self._queues[request.kind].append(request)
-        if self.observer is not None:
-            self.observer.stream_enqueued(request)
-
-    def snapshot_queue(self, kind: str) -> list:
-        """The queued requests of ``kind``, oldest first (not removed)."""
-        return list(self._queues[kind])
-
-    def restore_queue(self, kind: str, requests: Sequence[StreamRequest]) -> None:
-        """Replace the queue of ``kind`` wholesale (trace-replay boundary)."""
-        queue = self._queues[kind]
-        queue.clear()
-        queue.extend(requests)
 
     def pending(self, kind: Optional[str] = None) -> int:
         """Number of queued requests (optionally of one kind)."""
@@ -191,8 +175,6 @@ class Streamer:
                 self.stats.y_loads += 1
             else:
                 self.stats.x_loads += 1
-        if self.observer is not None:
-            self.observer.stream_completed(request)
         return request
 
     def reset_stats(self) -> None:

@@ -390,15 +390,14 @@ class TestFarmIntegration:
 class TestEngineIntegration:
     """Per-tile spans from the cycle-accurate engine path.
 
-    The trace-replay backend applies recorded timing at tile boundaries,
-    so its span timeline must be *identical* to the event-stepped one --
-    that is what makes the two backends' traces directly comparable in
-    the viewer; only the ``replayed`` attribute may differ.
+    Both arithmetic backends step the same control schedule, so their span
+    timelines must be *identical* -- that is what makes the two backends'
+    traces directly comparable in the viewer.
     """
 
     M, N, K = 16, 16, 16
 
-    def _offload(self, engine_backend, engine=None):
+    def _offload(self, engine_backend):
         from repro.fp.vector import random_fp16_matrix
         from repro.interco.hci import Hci, HciConfig
         from repro.mem.layout import MemoryAllocator
@@ -409,12 +408,9 @@ class TestEngineIntegration:
 
         telemetry = install(Telemetry())
         try:
-            if engine is None:
-                tcdm = Tcdm(TcdmConfig())
-                engine = RedMulE(RedMulEConfig.reference(),
-                                 Hci(tcdm, HciConfig()),
-                                 backend=engine_backend)
-            tcdm = engine.hci.tcdm
+            tcdm = Tcdm(TcdmConfig())
+            engine = RedMulE(RedMulEConfig.reference(),
+                             Hci(tcdm, HciConfig()), backend=engine_backend)
             allocator = MemoryAllocator(tcdm.base, tcdm.size)
             hx = allocator.alloc_matrix(self.M, self.N, "X")
             hw = allocator.alloc_matrix(self.N, self.K, "W")
@@ -436,22 +432,12 @@ class TestEngineIntegration:
     def _timeline(tiles):
         return [(event[5], event[3], event[4]) for event in tiles]
 
-    def test_event_stepped_and_replay_timelines_are_identical(self):
-        from repro.redmule.trace import reset_shared_trace_stores
-
-        reset_shared_trace_stores()
-        try:
-            _, stepped, _ = self._offload("exact-simd")
-            trace_engine, recorded, _ = self._offload("trace")
-            _, replayed, _ = self._offload("trace", engine=trace_engine)
-        finally:
-            reset_shared_trace_stores()
-        assert len(stepped) > 1  # multiple tiles, or the test proves nothing
-        assert self._timeline(stepped) == self._timeline(recorded) \
-            == self._timeline(replayed)
-        assert {event[-1]["replayed"] for event in stepped} == {False}
-        assert {event[-1]["replayed"] for event in recorded} == {False}
-        assert {event[-1]["replayed"] for event in replayed} == {True}
+    def test_tile_timelines_are_identical_across_backends(self):
+        _, simd, _ = self._offload("exact-simd")
+        _, exact, _ = self._offload("exact")
+        assert len(simd) > 1  # multiple tiles, or the test proves nothing
+        assert self._timeline(simd) == self._timeline(exact)
+        assert [event[-1] for event in simd] == [event[-1] for event in exact]
 
     def test_job_span_covers_every_tile_and_the_trace_nests(self):
         telemetry_engine, tiles, job_spans = self._offload("exact-simd")

@@ -545,7 +545,7 @@ class TestStreamingGeneration:
         return [_tenant("a", rps=2000.0), _tenant("b", rps=1000.0)]
 
     @pytest.mark.parametrize("arrival", ARRIVAL_KINDS)
-    def test_generate_is_the_materialised_stream(self, arrival):
+    def test_generate_is_the_stream_collected_eagerly(self, arrival):
         """Regression pin: the eager API is element-for-element the lazy
         stream under the same seed, for every arrival process."""
         tenants = self._tenants()

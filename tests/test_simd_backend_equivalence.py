@@ -16,10 +16,17 @@ from repro.farm import (
     DEFAULT_ENGINE_MACS_THRESHOLD,
     BackendValidationReport,
     SimulationFarm,
+    config_key,
     default_farm,
 )
-from repro.fp.formats import FP16
-from repro.fp.vector import matrix_to_bits, quantize_fp16, random_fp16_matrix
+from repro.farm.workers import _build_job
+from repro.fp.formats import FP16, get_format
+from repro.fp.vector import (
+    matrix_to_bits,
+    quantize_fp16,
+    random_fp16_matrix,
+    random_matrix,
+)
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
 from repro.mem.tcdm import Tcdm, TcdmConfig
@@ -102,18 +109,39 @@ class TestEngineBitIdentity:
             assert simd_bits == exact_bits
             assert simd_result.cycles == exact_result.cycles
 
-    def test_special_values_route_through_integer_kernels(self):
-        """NaNs, infinities and subnormal operands in the input matrices must
-        not break bit-identity (they exercise the guarded fallback path)."""
+    @pytest.mark.parametrize("accumulate", [False, True],
+                             ids=["zero-acc", "accumulate"])
+    @pytest.mark.parametrize("fmt_name", ["fp16", "bf16", "fp8-e4m3",
+                                          "fp8-e5m2"])
+    def test_special_values_route_through_integer_kernels(self, fmt_name,
+                                                          accumulate):
+        """NaNs, infinities, subnormals and the largest finite values in
+        the operands of every element format must not break bit-identity
+        (they exercise the guarded fallback path)."""
+        fmt = get_format(fmt_name)
+        key = config_key(RedMulEConfig(format=fmt_name))
         m, n, k = 16, 24, 16
-        x = random_fp16_matrix(m, n, scale=0.25, seed=3).astype(np.float32)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=4).astype(np.float32)
-        x[0, 0], x[1, 2], x[2, 1] = np.inf, np.nan, 6e-8
-        w[0, 0], w[1, 1], w[2, 0] = -np.inf, 65504.0, -5.9e-8
-        exact_result, exact_bits = _run_engine("exact", m, n, k, x=x, w=w)
-        simd_result, simd_bits = _run_engine("exact-simd", m, n, k, x=x, w=w)
-        assert simd_bits == exact_bits
-        assert simd_result.cycles == exact_result.cycles
+        x = random_matrix(m, n, fmt, scale=0.25, seed=3)
+        w = random_matrix(n, k, fmt, scale=0.25, seed=4)
+        z0 = random_matrix(m, k, fmt, scale=0.25, seed=5)
+        tiny = fmt.bits_to_float(1)  # smallest subnormal
+        big = fmt.max_finite_value
+        x[0, 0], x[1, 2], x[2, 1], x[3, 3] = np.inf, np.nan, tiny, big
+        w[0, 0], w[1, 1], w[2, 0], w[3, 3] = -np.inf, big, -tiny, big
+        outcomes = {}
+        for backend in ("exact", "exact-simd"):
+            engine, job, (hx, hw, hz) = _build_job(key, m, n, k, accumulate,
+                                                   backend)
+            tcdm = engine.tcdm
+            hx.store(tcdm, x)
+            hw.store(tcdm, w)
+            if accumulate:
+                hz.store(tcdm, z0)
+            result = engine.run_job(job)
+            outcomes[backend] = (
+                result.cycles, result.stall_cycles, result.issued_macs,
+                tcdm.dump_image(hz.base, m * k * fmt.storage_bytes))
+        assert outcomes["exact-simd"] == outcomes["exact"]
 
 
 class TestGoldenModelEquivalence:
@@ -148,39 +176,9 @@ class TestVectorOpsLevel:
     def test_registry(self):
         assert isinstance(make_vector_ops("exact"), ExactVectorOps)
         assert isinstance(make_vector_ops("exact-simd"), ExactSimdVectorOps)
-        for name in ("fast", "bogus"):
+        for name in ("fast", "trace", "bogus"):
             with pytest.raises(ValueError):
                 make_vector_ops(name)
-
-    def test_lazy_chain_matches_scalar_chain(self):
-        rng = np.random.default_rng(2)
-        exact, simd = ExactVectorOps(), ExactSimdVectorOps()
-        bits = [int(v) for v in rng.integers(0, 0x8000, 8)]
-        exact_vec = exact.from_bits(bits)
-        simd_vec = simd.from_bits(bits)
-        for _ in range(40):
-            w = int(rng.integers(0, 0x8000))
-            x_bits = [int(v) for v in rng.integers(0, 0x8000, 8)]
-            exact_vec = exact.fma(exact.from_bits(x_bits), w, exact_vec)
-            simd_vec = simd.fma(simd.from_bits(x_bits), w, simd_vec)
-        assert simd.to_bits(simd_vec) == exact.to_bits(exact_vec)
-
-    def test_to_lines_forces_all_columns(self):
-        simd = ExactSimdVectorOps()
-        columns = []
-        for k in range(4):
-            acc = simd.zeros(8)
-            acc = simd.fma(simd.from_bits([0x3C00 + k] * 8), 0x3C00, acc)
-            acc = simd.fma(simd.from_bits([0x4000] * 8), 0x3800, acc)
-            columns.append(acc)
-        lines = simd.to_lines(columns)
-        exact = ExactVectorOps()
-        for k in range(4):
-            acc = exact.zeros(8)
-            acc = exact.fma(exact.from_bits([0x3C00 + k] * 8), 0x3C00, acc)
-            acc = exact.fma(exact.from_bits([0x4000] * 8), 0x3800, acc)
-            for row in range(8):
-                assert int(lines[row][k]) == acc[row]
 
 
 class TestBackendSelection:
@@ -205,7 +203,7 @@ class TestBackendSelection:
         all simulate with a bit-exact backend."""
         from repro.cluster import PulpCluster
 
-        bit_exact = ("exact", "exact-simd", "trace")
+        bit_exact = ("exact", "exact-simd")
         assert VECTOR_OPS_BACKENDS == bit_exact
         assert RedMulE().backend in bit_exact
         assert PulpCluster().redmule.backend in bit_exact
@@ -243,7 +241,7 @@ class TestFarmBackendValidation:
     def test_farm_timing_identical_across_arithmetic_backends(self):
         shapes = [(8, 16, 16), (16, 16, 16)]
         records = {}
-        for arithmetic in ("exact", "exact-simd", "trace"):
+        for arithmetic in ("exact", "exact-simd"):
             farm = SimulationFarm(arithmetic=arithmetic, max_workers=1)
             records[arithmetic] = [
                 (r.cycles, r.stall_cycles, r.total_macs, r.n_tiles)
@@ -251,65 +249,9 @@ class TestFarmBackendValidation:
                     [_Shape(*s) for s in shapes], backend="engine"
                 )
             ]
-        assert records["exact"] == records["exact-simd"] == records["trace"]
+        assert records["exact"] == records["exact-simd"]
 
 
 class _Shape:
     def __init__(self, m, n, k):
         self.m, self.n, self.k = m, n, k
-
-
-class TestTraceBackendEquivalence:
-    """The trace backend's acceptance gate: identical ``RedMulEResult``
-    cycle counts and bit-identical TCDM contents vs the event-stepped
-    engine on the engine-eligible experiment job set."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_trace_stores(self):
-        from repro.redmule.trace import reset_shared_trace_stores
-
-        reset_shared_trace_stores()
-        yield
-        reset_shared_trace_stores()
-
-    @pytest.mark.parametrize("shape", _experiment_engine_shapes(),
-                             ids=lambda s: "x".join(map(str, s)))
-    def test_experiment_job_set(self, shape):
-        simd_result, simd_bits = _run_engine("exact-simd", *shape)
-        trace_result, trace_bits = _run_engine("trace", *shape)
-        assert trace_bits == simd_bits
-        assert trace_result.cycles == simd_result.cycles
-        assert trace_result.stall_cycles == simd_result.stall_cycles
-        assert trace_result.issued_macs == simd_result.issued_macs
-
-    def test_warm_replay_stays_identical(self):
-        """Second run of a shape replays recorded schedules; nothing about
-        the observable result may change."""
-        from repro.redmule.config import RedMulEConfig
-        from repro.redmule.trace import shared_trace_store
-
-        shape = (48, 48, 48)
-        simd_result, simd_bits = _run_engine("exact-simd", *shape)
-        cold_result, cold_bits = _run_engine("trace", *shape)
-        store = shared_trace_store(RedMulEConfig.reference())
-        assert store.stats.recordings > 0
-        recordings = store.stats.recordings
-        warm_result, warm_bits = _run_engine("trace", *shape)
-        assert store.stats.recordings == recordings  # replay only
-        assert store.stats.hits > 0
-        assert warm_bits == cold_bits == simd_bits
-        assert warm_result.cycles == cold_result.cycles == simd_result.cycles
-
-    def test_special_values_replay_bit_identically(self):
-        m, n, k = 16, 24, 16
-        x = random_fp16_matrix(m, n, scale=0.25, seed=3).astype(np.float32)
-        w = random_fp16_matrix(n, k, scale=0.25, seed=4).astype(np.float32)
-        x[0, 0], x[1, 2], x[2, 1] = np.inf, np.nan, 6e-8
-        w[0, 0], w[1, 1], w[2, 0] = -np.inf, 65504.0, -5.9e-8
-        simd_result, simd_bits = _run_engine("exact-simd", m, n, k, x=x, w=w)
-        # Record with plain data, then replay with the special values so the
-        # data plane (not the recording run) handles NaN/inf/subnormals.
-        _run_engine("trace", m, n, k)
-        trace_result, trace_bits = _run_engine("trace", m, n, k, x=x, w=w)
-        assert trace_bits == simd_bits
-        assert trace_result.cycles == simd_result.cycles

@@ -2,15 +2,15 @@
 
 Two :class:`~hypothesis.stateful.RuleBasedStateMachine` suites live here:
 
-* :class:`TraceDifferentialMachine` drives random interleaved sequences of
-  job submissions, watchdog aborts, warm replays and precision switches
-  against three targets at once -- the event-stepped engine (``exact-simd``
-  backend, the oracle), the trace-compiled engine (``trace`` backend,
-  records then replays), and the golden numpy model
-  (:func:`matmul_hw_order_simd_fmt`).  After every command it checks
-  bit-equality of the TCDM result images and the cycle statistics, and that
-  every resource -- controller context, streamer queues, datapath pipeline,
-  trace-session hooks -- has been released.
+* :class:`EngineDifferentialMachine` drives random interleaved sequences of
+  job submissions, watchdog aborts, back-to-back reruns and precision
+  switches against three targets at once -- the vectorised engine
+  (``exact-simd`` backend: value-free control plane plus one data-plane
+  call per job), the scalar engine (``exact`` backend, the oracle), and the
+  golden numpy model (:func:`matmul_hw_order_simd_fmt`).  After every
+  command it checks bit-equality of the TCDM result images and the cycle
+  statistics, and that every resource -- controller context, streamer
+  queues, datapath pipeline -- has been released.
 
 * :class:`ServeLoopMachine` drives the continuous serving loop with random
   admission/completion/scale-event sequences and checks its conservation
@@ -49,7 +49,6 @@ from repro.redmule.config import RedMulEConfig
 from repro.redmule.engine import RedMulE
 from repro.redmule.functional import matmul_hw_order_simd_fmt
 from repro.redmule.job import MatmulJob
-from repro.redmule.trace import TraceStore, reset_shared_trace_stores
 from repro.serve import (
     AdmissionPolicy,
     ContinuousServer,
@@ -71,25 +70,18 @@ def _fresh_target(fmt_name):
     return config, tcdm, hci
 
 
-class TraceDifferentialMachine(RuleBasedStateMachine):
+class EngineDifferentialMachine(RuleBasedStateMachine):
     def _rebuild(self, fmt_name):
         self.fmt_name = fmt_name
         config, tcdm_ref, hci_ref = _fresh_target(fmt_name)
         self.config = config
-        self.ref_engine = RedMulE(config, hci_ref, backend="exact-simd")
-        config2, tcdm_trc, hci_trc = _fresh_target(fmt_name)
-        # One private store per format so precision switches cannot replay a
-        # schedule recorded for a different element width.
-        store = self.stores.setdefault(fmt_name, TraceStore())
-        self.engine = RedMulE(config2, hci_trc, backend="trace",
-                              trace_store=store)
-        self.store = store
+        self.ref_engine = RedMulE(config, hci_ref, backend="exact")
+        config2, tcdm_simd, hci_simd = _fresh_target(fmt_name)
+        self.engine = RedMulE(config2, hci_simd, backend="exact-simd")
         self.last_job = None
 
     @initialize()
     def setup(self):
-        reset_shared_trace_stores()
-        self.stores = {}
         self.seed = 0
         self._rebuild("fp16")
 
@@ -141,22 +133,19 @@ class TraceDifferentialMachine(RuleBasedStateMachine):
 
     @rule(shape=st.sampled_from(SHAPES))
     def abort(self, shape):
-        """A watchdog abort mid-recording must leave no partial state."""
+        """A watchdog abort mid-job must leave no partial state behind."""
         m, n, k = shape
         self.seed += 3
         fmt = self.config.format
         x = random_matrix(m, n, fmt, scale=0.25, seed=self.seed)
         w = random_matrix(n, k, fmt, scale=0.25, seed=self.seed + 1)
         job, _ = self._place(self.engine, m, n, k, False, x, w, None)
-        n_before = len(self.store)
         with pytest.raises(RuntimeError, match="exceeded"):
             self.engine.offload(job, max_cycles=4)
-        # An abort may never commit a schedule recorded for the killed run.
-        assert len(self.store) == n_before
 
     @rule()
-    def replay_last(self):
-        """Re-running the previous shape takes the warm-replay path."""
+    def rerun_last(self):
+        """The previous shape again, back to back on the same engines."""
         if self.last_job is None:
             return
         self._run_and_check(*self.last_job)
@@ -175,20 +164,10 @@ class TraceDifferentialMachine(RuleBasedStateMachine):
             assert not engine.controller.busy
             assert engine.streamer.pending() == 0
             assert not engine.datapath.busy
-        assert self.engine._session is None
-        assert self.engine.streamer.observer is None
-
-    @invariant()
-    def store_consistent(self):
-        if not hasattr(self, "store"):
-            return
-        stats = self.store.stats
-        assert stats.recordings - stats.discarded >= 0
-        assert len(self.store) <= stats.recordings
 
 
-TestTraceDifferential = TraceDifferentialMachine.TestCase
-TestTraceDifferential.settings = settings(
+TestEngineDifferential = EngineDifferentialMachine.TestCase
+TestEngineDifferential.settings = settings(
     max_examples=10,
     stateful_step_count=8,
     deadline=None,
