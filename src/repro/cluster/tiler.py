@@ -117,6 +117,12 @@ class TiledMatmulResult:
         return self.compute_cycles + self.exposed_dma_cycles + self.offload_cycles
 
 
+def check_tcdm_budget(tcdm_budget_bytes: int) -> None:
+    """Reject a TCDM budget the planner cannot work with."""
+    if tcdm_budget_bytes < 8 * 1024:
+        raise ValueError("a TCDM budget below 8 KiB is not practical")
+
+
 def _round_down_multiple(value: int, granule: int, minimum: int) -> int:
     """Round ``value`` down to a multiple of ``granule`` (at least ``minimum``)."""
     rounded = max((value // granule) * granule, minimum)
@@ -138,8 +144,7 @@ def plan_tiled_matmul(
     """
     if m <= 0 or n <= 0 or k <= 0:
         raise ValueError("matrix dimensions must be positive")
-    if tcdm_budget_bytes < 8 * 1024:
-        raise ValueError("a TCDM budget below 8 KiB is not practical")
+    check_tcdm_budget(tcdm_budget_bytes)
     config = config or RedMulEConfig.reference()
     element_bytes = config.element_bytes
 

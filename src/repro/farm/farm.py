@@ -38,9 +38,10 @@ from repro.farm.cache import (
     TimingRecord,
     config_key,
 )
-from repro.farm.workers import run_functional_job, simulate_key
+from repro.farm.workers import model_record, run_functional_job, simulate_key
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
+from repro.redmule.perf_model import RedMulEPerfModel
 from repro.redmule.vector_ops import DEFAULT_BACKEND, validate_backend_name
 from repro.workloads.gemm import GemmShape
 
@@ -367,8 +368,16 @@ class SimulationFarm:
         obs = _telemetry_active()
         batch_start = obs.now() if obs.enabled else 0.0
 
-        keys = [self._key(job, self.resolve_backend(job, backend))
-                for job in jobs]
+        # A job repeated in the batch (one layer shape recurring through a
+        # program) is keyed once.
+        key_of: Dict[MatmulJob, TimingKey] = {}
+        keys: List[TimingKey] = []
+        for job in jobs:
+            key = key_of.get(job)
+            if key is None:
+                key = key_of[job] = self._key(
+                    job, self.resolve_backend(job, backend))
+            keys.append(key)
         # One cache lookup per *distinct* key; batch-internal repeats of a
         # shape count as cache hits (once the batch completes they are
         # served from the memoised record, never from a simulation), so the
@@ -545,12 +554,8 @@ class SimulationFarm:
         engine_keys = [key for key in keys if key.backend == BACKEND_ENGINE]
         model_keys = [key for key in keys if key.backend != BACKEND_ENGINE]
 
-        records: Dict[TimingKey, TimingRecord] = {}
         # Model estimates are closed-form and cheaper than any pickling.
-        for key in model_keys:
-            records[key] = simulate_key(key)
-            self.stats.model_runs += 1
-
+        records = self._model_records(model_keys)
         if engine_keys:
             records.update(self._simulate_engine_keys(engine_keys))
             self.stats.engine_runs += len(engine_keys)
@@ -562,6 +567,23 @@ class SimulationFarm:
         if self.validate and engine_keys:
             self._cross_check(engine_keys, records)
         return records
+
+    def _model_records(
+        self, keys: List[TimingKey]
+    ) -> Dict[TimingKey, TimingRecord]:
+        """Model records of ``keys``, from one perf model of this farm.
+
+        Every key this farm builds carries ``config_key(self.config)``, so
+        the batch needs no configuration rebuilt from a key tuple.
+        """
+        if not keys:
+            return {}
+        own = config_key(self.config)
+        assert all(key.config == own for key in keys)
+        model = RedMulEPerfModel(self.config)
+        self.stats.model_runs += len(keys)
+        return {key: model_record(model, key.m, key.n, key.k, key.accumulate)
+                for key in keys}
 
     def _simulate_engine_keys(
         self, keys: List[TimingKey]
@@ -720,15 +742,14 @@ class SimulationFarm:
                 config=key.config, m=key.m, n=key.n, k=key.k,
                 accumulate=key.accumulate, backend=BACKEND_MODEL,
             )
-            model_record = self.cache.peek(model_key)
-            if model_record is None:
-                model_record = simulate_key(model_key)
-                self.stats.model_runs += 1
-                self.cache.store(model_key, model_record)
+            estimate = self.cache.peek(model_key)
+            if estimate is None:
+                estimate = self._model_records([model_key])[model_key]
+                self.cache.store(model_key, estimate)
             report = ValidationReport(
                 key=key,
                 engine_cycles=records[key].cycles,
-                model_cycles=model_record.cycles,
+                model_cycles=estimate.cycles,
                 tolerance=self.tolerance,
             )
             self.validation_reports.append(report)

@@ -125,11 +125,18 @@ def estimate_model_timing(
     accumulate: bool,
 ) -> TimingRecord:
     """Estimate one shape with the analytical model (inline, no process hop)."""
-    config = config_from_key(key)
+    return model_record(RedMulEPerfModel(config_from_key(key)),
+                        m, n, k, accumulate)
+
+
+def model_record(model: RedMulEPerfModel, m: int, n: int, k: int,
+                 accumulate: bool) -> TimingRecord:
+    """The model-backend record of one canonically placed shape on ``model``."""
+    config = model.config
     job = MatmulJob(x_addr=0, w_addr=0, z_addr=0, m=m, n=n, k=k,
                     accumulate=accumulate,
                     element_bytes=config.element_bytes)
-    estimate = RedMulEPerfModel(config).estimate(job)
+    estimate = model.estimate(job)
     return TimingRecord(
         cycles=estimate.cycles,
         stall_cycles=estimate.overhead_cycles,

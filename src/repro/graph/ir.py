@@ -225,6 +225,11 @@ class WorkloadGraph:
     this to read their KV-cache GEMMs at FP8 while the projections stay at
     the graph precision.  See ``docs/architecture.md`` for where this
     boundary sits in the stack.
+
+    :meth:`add` is the only way to change the graph's structure: the
+    topological order and the per-node dependencies are computed on first
+    use and kept until the next :meth:`add`.  Node precisions are not part
+    of that structure and may be rewritten in place at any time.
     """
 
     def __init__(self, name: str, precision: Optional[str] = None) -> None:
@@ -241,6 +246,12 @@ class WorkloadGraph:
         self._node_index: Dict[str, int] = {}
         #: tensor name -> producing node name (absent = graph input).
         self._producer: Dict[str, str] = {}
+        # Structure derived from the above, built on first use and cleared
+        # by add() (the only mutator of the DAG): node name -> dependency
+        # names, and the topological order.  Nothing here depends on node
+        # precisions, which the precision pass rewrites in place.
+        self._deps: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._order: Optional[Tuple[GraphNode, ...]] = None
 
     # -- construction --------------------------------------------------------
     def add_tensor(self, name: str, rows: int, cols: int) -> str:
@@ -274,6 +285,8 @@ class WorkloadGraph:
         self._node_index[node.name] = len(self.nodes)
         self.nodes.append(node)
         self._producer[node.output] = node.name
+        self._deps = None
+        self._order = None
         return node
 
     def add_gemm(self, name: str, shape: GemmShape, x: str, w: str, z: str,
@@ -339,13 +352,27 @@ class WorkloadGraph:
     def dependencies(self, node: Union[str, GraphNode]) -> List[str]:
         """Names of the nodes that must complete before ``node`` can run."""
         if isinstance(node, str):
-            node = self.node(node)
-        deps = []
+            return list(self._dependency_map()[node])
+        index = self._node_index.get(node.name)
+        if index is not None and self.nodes[index] is node:
+            return list(self._dependency_map()[node.name])
+        # A node of another graph (or not yet added): resolve its inputs
+        # against this graph's producers without touching the cache.
+        return list(self._inputs_producers(node))
+
+    def _inputs_producers(self, node: GraphNode) -> Tuple[str, ...]:
+        deps: List[str] = []
         for tensor in node.inputs:
             producer = self._producer.get(tensor)
             if producer is not None and producer not in deps:
                 deps.append(producer)
-        return deps
+        return tuple(deps)
+
+    def _dependency_map(self) -> Dict[str, Tuple[str, ...]]:
+        if self._deps is None:
+            self._deps = {node.name: self._inputs_producers(node)
+                          for node in self.nodes}
+        return self._deps
 
     def graph_inputs(self) -> List[TensorRef]:
         """Tensors no node produces (weights / activations from outside)."""
@@ -373,12 +400,19 @@ class WorkloadGraph:
         auto-encoder graph reproduce the legacy hand-written flat list
         job for job.
 
-        Raises :class:`GraphValidationError` on dependency cycles.
+        Raises :class:`GraphValidationError` on dependency cycles.  The
+        order is computed once per graph structure (see :meth:`add`).
         """
+        if self._order is None:
+            self._order = self._kahn_order()
+        return list(self._order)
+
+    def _kahn_order(self) -> Tuple[GraphNode, ...]:
+        deps_of = self._dependency_map()
         indegree: Dict[str, int] = {}
         dependents: Dict[str, List[str]] = {node.name: [] for node in self.nodes}
         for node in self.nodes:
-            deps = self.dependencies(node)
+            deps = deps_of[node.name]
             indegree[node.name] = len(deps)
             for dep in deps:
                 dependents[dep].append(node.name)
@@ -401,7 +435,7 @@ class WorkloadGraph:
                 f"graph {self.name!r} has a dependency cycle through "
                 f"{', '.join(stuck)}"
             )
-        return order
+        return tuple(order)
 
     def validate(self) -> None:
         """Full structural check (construction checks + acyclicity)."""
@@ -460,8 +494,8 @@ class WorkloadGraph:
         FP8 model is never silently timed on FP16 line geometry.
 
         ``tile=False`` (default) emits **one whole-GEMM job per node**: the
-        canonical placement the farm's shape-keyed timing cache memoises,
-        with the tiling planner consulted only for diagnostics.  ``tile=True``
+        canonical placement the farm's shape-keyed timing cache memoises;
+        the tiling planner runs only if a node's ``note`` is read.  ``tile=True``
         splits any GEMM whose operand set exceeds ``tcdm_budget_bytes``
         (default: 96 KiB, headroom below the 128 KiB reference TCDM) into
         the per-tile job stream a DMA-fed cluster would actually execute:

@@ -15,16 +15,23 @@ it waits on, and a diagnostic line.  Two modes:
   into per-tile jobs (inner-dimension tiles accumulate, ``Z += X . W``),
   the stream a DMA-fed cluster would actually execute.
 
-Either way the tiling planner is consulted per GEMM so the diagnostics can
-report the TCDM footprint and the plan a too-large GEMM would need.
+Whole-GEMM lowering never runs the tiling planner: a node's
+:attr:`LoweredNode.note` reports the plan a too-large GEMM would need, and
+the note is built on first read, so a caller that only times the jobs (a
+design-space sweep lowers once per design point) pays nothing for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.tiler import TiledMatmulPlan, plan_tiled_matmul
+from repro.cluster.tiler import (
+    TiledMatmulPlan,
+    check_tcdm_budget,
+    plan_tiled_matmul,
+)
 from repro.graph.ir import ElementwiseNode, GemmNode, WorkloadGraph
 from repro.redmule.config import RedMulEConfig
 from repro.redmule.job import MatmulJob
@@ -56,11 +63,16 @@ class LoweredNode:
     macs: int
     #: Output elements (elementwise core-cost accounting).
     elements: int
-    #: Human-readable diagnostic (transpose-aware equation, tiling plan).
-    note: str
+    #: Builds :attr:`note` on its first read.
+    describe_note: Callable[[], str] = field(repr=False, compare=False)
     #: Effective element format the node's jobs were lowered for: the
     #: node's own override if set, else the program precision.
     precision: str = "fp16"
+
+    @cached_property
+    def note(self) -> str:
+        """Human-readable diagnostic (transpose-aware equation, tiling plan)."""
+        return self.describe_note()
 
     @property
     def is_gemm(self) -> bool:
@@ -85,6 +97,10 @@ class LoweredProgram:
     #: per-node override (:attr:`LoweredNode.precision`) differ from this;
     #: :attr:`mixed_precision` is True when any does.
     precision: str = "fp16"
+    #: :meth:`job_deps`, computed on first use (``nodes`` is fixed once
+    #: lowered).
+    _job_deps: Optional[Tuple[Tuple[int, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def mixed_precision(self) -> bool:
@@ -125,27 +141,33 @@ class LoweredProgram:
         the annotation never loses an ordering constraint just because a
         zero-job node sits on the data path.
         """
+        if self._job_deps is None:
+            self._job_deps = self._annotate_jobs()
+        return list(self._job_deps)
+
+    def _annotate_jobs(self) -> Tuple[Tuple[int, ...], ...]:
         # Node name -> the job indices whose completion implies the node's
         # completion (its own last job, or, for job-less nodes, the union
         # of its dependencies' completion jobs).
         completion_jobs: Dict[str, Tuple[int, ...]] = {}
         deps: List[Tuple[int, ...]] = []
-        index = 0
         for node in self.nodes:
-            node_deps = tuple(sorted({
-                job for dep in node.deps for job in completion_jobs[dep]
-            }))
-            for position in range(node.n_jobs):
-                if position == 0:
-                    deps.append(node_deps)
-                else:
-                    deps.append((index - 1,))
-                index += 1
-            if node.n_jobs:
-                completion_jobs[node.name] = (index - 1,)
+            if len(node.deps) == 1:
+                # Every completion tuple is already sorted and distinct.
+                node_deps = completion_jobs[node.deps[0]]
+            else:
+                node_deps = tuple(sorted({
+                    job for dep in node.deps for job in completion_jobs[dep]
+                }))
+            first = len(deps)
+            count = len(node.jobs)
+            if count:
+                deps.append(node_deps)
+                deps.extend((index,) for index in range(first, first + count - 1))
+                completion_jobs[node.name] = (first + count - 1,)
             else:
                 completion_jobs[node.name] = node_deps
-        return deps
+        return tuple(deps)
 
     def critical_path_cycles(self, job_costs: Sequence[float]) -> float:
         """Longest dependent-job chain given per-job cycle costs.
@@ -204,6 +226,26 @@ def _tile_jobs(plan: TiledMatmulPlan, element_bytes: int) -> List[MatmulJob]:
     return jobs
 
 
+def _gemm_note(shape: GemmShape, transpose: str, override: Optional[str],
+               config: RedMulEConfig, tcdm_budget_bytes: int,
+               tiled_plan: Optional[TiledMatmulPlan]) -> str:
+    """A GEMM node's note: equation, precision override, tiling plan.
+
+    ``tiled_plan`` is the plan a tiled node was split by; for a whole GEMM
+    (``None``) the planner runs here, only to say how it would tile.
+    """
+    note = shape.describe(transpose=transpose)
+    if override is not None:
+        note += f" | {override}"
+    if tiled_plan is not None:
+        return note + f" | {tiled_plan.describe()}"
+    plan = plan_tiled_matmul(shape.m, shape.n, shape.k, config,
+                             tcdm_budget_bytes)
+    if plan.n_jobs > 1:
+        note += f" | exceeds budget, would tile as {plan.describe()}"
+    return note
+
+
 def lower(
     graph: WorkloadGraph,
     config: Optional[RedMulEConfig] = None,
@@ -212,13 +254,14 @@ def lower(
 ) -> LoweredProgram:
     """Lower a workload graph to a dependency-annotated job stream.
 
-    The node order is the graph's deterministic topological sort; per GEMM
-    node the tiling planner is consulted for the TCDM footprint, and in
-    tiled mode any GEMM that does not fit ``tcdm_budget_bytes`` becomes its
-    plan's per-tile accumulate stream.
+    The node order is the graph's deterministic topological sort.  In tiled
+    mode any GEMM that does not fit ``tcdm_budget_bytes`` becomes its
+    tiling plan's per-tile accumulate stream; in whole-GEMM mode the
+    planner runs only when a node's :attr:`LoweredNode.note` is read.
     """
     from dataclasses import replace
 
+    check_tcdm_budget(tcdm_budget_bytes)
     config = config or RedMulEConfig.reference()
     # An explicit graph precision wins (timing an FP8 model on FP16 line
     # geometry would silently misestimate every job); precision-agnostic
@@ -231,6 +274,8 @@ def lower(
     # geometry both follow the node, so an FP8 KV-cache GEMM gets 1-byte
     # jobs and an FP8 tiling plan inside an otherwise-FP16 program.
     configs: Dict[str, RedMulEConfig] = {precision: config}
+    # Jobs are immutable: a shape repeated through the graph shares one.
+    whole_jobs: Dict[Tuple[int, int, int, int], MatmulJob] = {}
     lowered: List[LoweredNode] = []
     for node in graph.topo_sort():
         deps = tuple(graph.dependencies(node))
@@ -242,25 +287,30 @@ def lower(
                 configs[node_precision] = node_config
             element_bytes = node_config.element_bytes
             shape = node.shape
-            plan = plan_tiled_matmul(shape.m, shape.n, shape.k, node_config,
-                                     tcdm_budget_bytes)
-            note = shape.describe(transpose=node.transpose)
-            if node_precision != precision:
-                note += f" | {node_precision}"
-            if tile and plan.n_jobs > 1:
-                jobs = tuple(_tile_jobs(plan, element_bytes))
-                note += f" | {plan.describe()}"
-            else:
-                jobs = (MatmulJob(x_addr=0, w_addr=0, z_addr=0,
-                                  m=shape.m, n=shape.n, k=shape.k,
-                                  element_bytes=element_bytes),)
+            tiled_plan = None
+            if tile:
+                plan = plan_tiled_matmul(shape.m, shape.n, shape.k,
+                                         node_config, tcdm_budget_bytes)
                 if plan.n_jobs > 1:
-                    note += (f" | exceeds budget, would tile as "
-                             f"{plan.describe()}")
+                    tiled_plan = plan
+            if tiled_plan is not None:
+                jobs = tuple(_tile_jobs(tiled_plan, element_bytes))
+            else:
+                dims = (shape.m, shape.n, shape.k, element_bytes)
+                job = whole_jobs.get(dims)
+                if job is None:
+                    job = whole_jobs[dims] = MatmulJob(
+                        x_addr=0, w_addr=0, z_addr=0, m=shape.m, n=shape.n,
+                        k=shape.k, element_bytes=element_bytes)
+                jobs = (job,)
+            override = node_precision if node_precision != precision else None
             lowered.append(LoweredNode(
                 name=node.name, kind=KIND_GEMM, jobs=jobs, deps=deps,
                 shape=shape, macs=shape.macs,
-                elements=graph.tensors[node.output].elements, note=note,
+                elements=graph.tensors[node.output].elements,
+                describe_note=partial(_gemm_note, shape, node.transpose,
+                                      override, node_config,
+                                      tcdm_budget_bytes, tiled_plan),
                 precision=node_precision,
             ))
         elif isinstance(node, ElementwiseNode):
@@ -268,7 +318,7 @@ def lower(
                 name=node.name, kind=KIND_ELEMENTWISE, jobs=(), deps=deps,
                 shape=None, macs=0,
                 elements=graph.tensors[node.output].elements,
-                note=node.describe(),
+                describe_note=node.describe,
                 precision=node.precision or precision,
             ))
         else:  # pragma: no cover - the IR only defines the two kinds

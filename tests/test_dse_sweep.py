@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -183,6 +184,20 @@ class TestSweep:
         assert not saturated.points[0].model_exact
         assert saturated.trusted_points == []
 
+    def test_exactness_scan_reaches_the_last_distinct_shape(self):
+        # On H=6, L=8, P=1 the small shapes are exact and (12, 40, 8)
+        # saturates the wide port (see above); repeats of the exact shapes
+        # come first, so only a scan over every distinct shape sees it.
+        space = DesignSpace.grid(height=(6,), length=(8,), pipeline_regs=(1,))
+        model = RedMulEPerfModel(next(space.points()).config)
+        small = [GemmShape(m, 4, 4, name=f"s{m}") for m in range(1, 9)]
+        late = GemmShape(12, 40, 8, name="late")
+        assert all(model.is_exact(MatmulJob(0, 0, 0, s.m, s.n, s.k))
+                   for s in small)
+        assert not model.is_exact(MatmulJob(0, 0, 0, 12, 40, 8))
+        assert sweep(space, small * 3).points[0].model_exact
+        assert not sweep(space, small * 3 + [late]).points[0].model_exact
+
     def test_negative_offload_rejected(self):
         with pytest.raises(ValueError):
             sweep(small_space(), small_graph(), offload_cycles_per_job=-1)
@@ -192,6 +207,37 @@ class TestSweep:
         text = result.render()
         assert "pareto frontier" in text
         assert "points/s" in text
+
+
+#: ``as_row()`` of every point of two sweeps of ``autoencoder-b1`` over a
+#: grid spanning three formats and both environment axes (one whole-GEMM,
+#: one tiled with a per-job offload cost), captured from the sweep that
+#: scanned every job for exactness and rebuilt a model per farm miss.
+SWEEP_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                 "dse_sweep_golden.json")
+GOLDEN_SWEEPS = {
+    "whole": {},
+    "tiled-offload": {"tile": True, "tcdm_budget_bytes": 8 * 1024,
+                      "offload_cycles_per_job": 12.5},
+}
+
+
+class TestSweepGolden:
+    @pytest.mark.parametrize("label", sorted(GOLDEN_SWEEPS))
+    def test_rows_match_the_golden(self, label):
+        space = DesignSpace.grid(height=(2, 4), length=(4, 8),
+                                 pipeline_regs=(1, 3),
+                                 precision=("fp16", "bf16", "fp8-e4m3"),
+                                 tcdm_banks=(8, 16), memory_latency=(0, 7))
+        with open(SWEEP_GOLDEN_PATH, encoding="utf-8") as handle:
+            golden = json.load(handle)[label]
+        result = sweep(space, "autoencoder-b1", **GOLDEN_SWEEPS[label])
+        rows = [point.as_row() for point in result.points]
+        assert "wall_clock_s" not in EXPORT_COLUMNS
+        assert len(rows) == len(golden) == len(space)
+        assert rows == golden
+        # Both sides of the exactness flag are pinned.
+        assert {row["model_exact"] for row in rows} == {True, False}
 
 
 class TestExports:

@@ -9,6 +9,8 @@ explicit coverage because they exercise the padding and preload paths where
 timing bugs would hide.
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.farm import (
@@ -22,7 +24,7 @@ from repro.farm import (
     reset_default_farms,
 )
 from repro.farm.cache import config_key
-from repro.farm.workers import simulate_engine_timing
+from repro.farm.workers import simulate_engine_timing, simulate_key
 from repro.interco.hci import Hci, HciConfig
 from repro.mem.layout import MemoryAllocator
 from repro.mem.tcdm import Tcdm
@@ -368,6 +370,44 @@ class TestProcessPool:
         # Later batches skip the doomed pool and stay serial.
         farm.run([MatmulJob(0, 0, 0, 1, 16, 16), MatmulJob(0, 0, 0, 2, 16, 16)])
         assert farm.stats.pool_failures == 1
+
+
+class TestModelMisses:
+    """The farm estimates its model misses with one perf model of its own
+    config; the records must be the pool entry point's, field for field."""
+
+    @pytest.mark.parametrize("config", [
+        RedMulEConfig.reference(),
+        RedMulEConfig(height=6, length=8, pipeline_regs=1),
+        RedMulEConfig(height=2, length=16, pipeline_regs=2,
+                      w_prefetch_lines=2, z_queue_depth=16, format="bf16"),
+        RedMulEConfig(format="fp8-e4m3"),
+    ], ids=["reference", "contended", "bf16-wide", "fp8"])
+    def test_model_miss_record_equals_simulate_key(self, config):
+        farm = SimulationFarm(config=config, backend=BACKEND_MODEL,
+                              max_workers=1)
+        jobs = [MatmulJob(0, 0, 0, m, n, k, accumulate=accumulate,
+                          element_bytes=config.element_bytes)
+                for m, n, k in ((1, 1, 1), (13, 7, 5), (64, 40, 96),
+                                (8, 300, 17))
+                for accumulate in (False, True)]
+        results = farm.run(jobs)
+        assert farm.stats.model_runs == len(jobs)
+        for job, result in zip(jobs, results):
+            assert not result.cache_hit
+            key = TimingKey.for_job(config, job, BACKEND_MODEL)
+            assert asdict(result.record) == asdict(simulate_key(key))
+
+    def test_cross_check_estimate_equals_simulate_key(self):
+        farm = SimulationFarm(backend=BACKEND_ENGINE, max_workers=1,
+                              validate=True)
+        farm.run_gemm(13, 7, 5, accumulate=True)
+        (report,) = farm.validation_reports
+        model_key = TimingKey(config=report.key.config, m=13, n=7, k=5,
+                              accumulate=True, backend=BACKEND_MODEL)
+        assert asdict(farm.cache.peek(model_key)) == \
+            asdict(simulate_key(model_key))
+        assert farm.stats.model_runs == 1
 
 
 class TestWorkerHelpers:

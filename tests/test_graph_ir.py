@@ -208,3 +208,84 @@ class TestDescribe:
         node = GemmNode(name="n", inputs=("a", "b"), output="c",
                         shape=GemmShape(4, 8, 2, name="dx"), transpose="x")
         assert "X^T[8x4]" in node.describe()
+
+
+class TestStructureCache:
+    """topo_sort()/dependencies() are computed once per graph structure."""
+
+    def test_node_added_after_a_query_is_seen(self):
+        graph = _simple_chain()
+        assert [n.name for n in graph.topo_sort()] == \
+            ["gemm1", "relu", "gemm2"]
+        assert graph.dependencies("gemm2") == ["relu"]
+        graph.add_tensor("e", 16, 2)
+        graph.add_elementwise("act", "relu", ("d",), "e")
+        assert [n.name for n in graph.topo_sort()] == \
+            ["gemm1", "relu", "gemm2", "act"]
+        assert graph.dependencies("act") == ["gemm2"]
+
+    def test_producer_added_after_its_consumer(self):
+        graph = WorkloadGraph("late-producer")
+        graph.add_tensor("a", 2, 2)
+        graph.add_tensor("b", 2, 2)
+        graph.add_tensor("c", 2, 2)
+        graph.add_elementwise("consumer", "relu", ("b",), "c")
+        assert graph.dependencies("consumer") == []
+        assert [n.name for n in graph.topo_sort()] == ["consumer"]
+        graph.add_elementwise("producer", "relu", ("a",), "b")
+        assert graph.dependencies("consumer") == ["producer"]
+        assert graph.dependencies(graph.node("consumer")) == ["producer"]
+        assert [n.name for n in graph.topo_sort()] == \
+            ["producer", "consumer"]
+
+    def test_mutating_a_returned_list_does_not_poison_the_cache(self):
+        graph = _simple_chain()
+        order = graph.topo_sort()
+        order.reverse()
+        order.append(order[0])
+        deps = graph.dependencies("gemm2")
+        deps.append("bogus")
+        deps_of_node = graph.dependencies(graph.node("relu"))
+        deps_of_node.clear()
+        assert [n.name for n in graph.topo_sort()] == \
+            ["gemm1", "relu", "gemm2"]
+        assert graph.dependencies("gemm2") == ["relu"]
+        assert graph.dependencies(graph.node("relu")) == ["gemm1"]
+
+    def test_cycle_raises_on_every_call(self):
+        graph = WorkloadGraph("cyclic")
+        graph.add_tensor("t1", 2, 2)
+        graph.add_tensor("t2", 2, 2)
+        graph.add_elementwise("n1", "relu", ("t2",), "t1")
+        graph.add_elementwise("n2", "relu", ("t1",), "t2")
+        for _ in range(3):
+            with pytest.raises(GraphValidationError, match="cycle"):
+                graph.topo_sort()
+        with pytest.raises(GraphValidationError, match="cycle"):
+            graph.validate()
+        with pytest.raises(GraphValidationError, match="cycle"):
+            graph.critical_path()
+
+    def test_foreign_node_with_a_clashing_name_is_not_served_from_cache(self):
+        graph = _simple_chain()
+        assert graph.dependencies("gemm2") == ["relu"]
+        # Same name as this graph's gemm2, but reading gemm1's output.
+        foreign = GemmNode(name="gemm2", inputs=("w2", "b"), output="d",
+                           shape=GemmShape(16, 8, 2, name="gemm2"))
+        assert graph.dependencies(foreign) == ["gemm1"]
+        # An unknown node resolves against this graph's producers too.
+        stranger = ElementwiseNode(name="stranger", inputs=("c", "a"),
+                                   output="x")
+        assert graph.dependencies(stranger) == ["relu"]
+        assert graph.dependencies("gemm2") == ["relu"]
+
+    def test_precision_rewrites_reach_lowering(self):
+        """Precisions are not structure: an in-place rewrite after a
+        lowering shows up in the next one."""
+        graph = _simple_chain()
+        assert graph.lower().node_precisions()["gemm2"] == "fp16"
+        graph.node("gemm2").precision = "fp8-e4m3"
+        program = graph.lower()
+        assert program.node_precisions()["gemm2"] == "fp8-e4m3"
+        gemm2 = next(n for n in program.nodes if n.name == "gemm2")
+        assert gemm2.jobs[0].element_bytes == 1

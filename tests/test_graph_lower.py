@@ -1,5 +1,9 @@
 """Tests of the graph lowering pass (whole-GEMM and tiled job streams)."""
 
+import importlib
+import json
+import os
+
 import pytest
 
 from repro.cluster.tiler import plan_tiled_matmul
@@ -7,7 +11,9 @@ from repro.farm import SimulationFarm
 from repro.graph.ir import WorkloadGraph
 from repro.graph.zoo import (
     autoencoder_training_graph,
+    build_model,
     mlp_training_graph,
+    zoo_models,
 )
 from repro.workloads.autoencoder import AUTOENCODER_LAYER_SIZES
 from repro.workloads.gemm import GemmShape
@@ -182,3 +188,68 @@ class TestFarmTimeProgram:
         timing = farm.time_program(graph.lower())
         assert "fc0-fwd" in timing.per_gemm
         assert "fc1-dw" in timing.per_gemm
+
+
+#: Every note and ``describe()`` of every zoo model, whole-GEMM and tiled,
+#: at the default and a 16 KiB budget, captured from the eager-note
+#: lowering (the one that ran the tiling planner for every GEMM).
+DESCRIBE_GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                    "lower_describe_golden.json")
+GOLDEN_BUDGETS = (None, 16 * 1024)
+#: The module itself: ``repro.graph`` re-exports its ``lower`` function
+#: under the same name.
+LOWER_MODULE = importlib.import_module("repro.graph.lower")
+
+
+def _lowering_diagnostics(model, tile, budget):
+    kwargs = {} if budget is None else {"tcdm_budget_bytes": budget}
+    program = build_model(model).lower(tile=tile, **kwargs)
+    return {"notes": [node.note for node in program.nodes],
+            "describe": program.describe()}
+
+
+class TestLazyNote:
+    def test_whole_gemm_lowering_never_plans(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("whole-GEMM lowering ran the planner")
+
+        monkeypatch.setattr(LOWER_MODULE, "plan_tiled_matmul", refuse)
+        program = autoencoder_training_graph(16).lower()
+        fc0 = next(n for n in program.nodes if n.name == "fc0-fwd")
+        assert fc0.n_jobs == 1
+        with pytest.raises(AssertionError, match="ran the planner"):
+            fc0.note
+        monkeypatch.undo()
+        plan = plan_tiled_matmul(fc0.shape.m, fc0.shape.n, fc0.shape.k)
+        assert fc0.note.endswith(
+            f" | exceeds budget, would tile as {plan.describe()}")
+
+    def test_note_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return plan_tiled_matmul(*args, **kwargs)
+
+        monkeypatch.setattr(LOWER_MODULE, "plan_tiled_matmul", counting)
+        program = autoencoder_training_graph(16).lower()
+        assert calls == []
+        fc0 = next(n for n in program.nodes if n.name == "fc0-fwd")
+        first = fc0.note
+        assert fc0.note is first
+        assert len(calls) == 1
+
+    def test_budget_is_checked_when_lowering(self):
+        with pytest.raises(ValueError, match="8 KiB"):
+            mlp_training_graph((10, 6, 4), batch=2).lower(
+                tcdm_budget_bytes=4 * 1024)
+
+    @pytest.mark.parametrize("tile", [False, True],
+                             ids=["whole", "tiled"])
+    @pytest.mark.parametrize("model", zoo_models())
+    def test_notes_and_describe_match_the_golden(self, model, tile):
+        with open(DESCRIBE_GOLDEN_PATH, encoding="utf-8") as handle:
+            golden = json.load(handle)
+        for budget in GOLDEN_BUDGETS:
+            expected = golden[f"{model}|tile={tile}|budget={budget}"]
+            assert _lowering_diagnostics(model, tile, budget) == expected
